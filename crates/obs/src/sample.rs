@@ -151,18 +151,10 @@ struct Worker {
 }
 
 impl Worker {
-    fn run(mut self) -> SampleLog {
-        let start = Instant::now();
-        let mut log = SampleLog {
-            snapshots: VecDeque::new(),
-            taken: 0,
-            dropped: 0,
-            stream_ok: true,
-        };
-        let mut prev = Registry::new();
-        // Baseline snapshot, then one per interval, then a final one so
-        // short runs still produce a complete stream.
-        self.take(&mut log, &mut prev, start);
+    /// Takes one snapshot per interval after the baseline that
+    /// [`Sampler::start`] took into `log`/`prev`, then a final one so
+    /// short runs still produce a complete stream.
+    fn run(mut self, start: Instant, mut log: SampleLog, mut prev: Registry) -> SampleLog {
         while !self.stop.load(Ordering::Relaxed) {
             // Sleep in small slices so stop() returns promptly even with
             // multi-second intervals.
@@ -222,10 +214,12 @@ pub struct Sampler {
 }
 
 impl Sampler {
-    /// Spawns the sampling thread: a baseline snapshot immediately, one
-    /// every `interval`, and a final one at [`stop`](Self::stop). The ring
-    /// retains the most recent `ring_cap` snapshots; `writer`, when given,
-    /// receives each snapshot as one NDJSON line (flushed per line).
+    /// Takes a baseline snapshot on the caller's thread — so it precedes
+    /// every merge the caller makes after `start` returns — then spawns
+    /// the sampling thread: one snapshot every `interval`, and a final one
+    /// at [`stop`](Self::stop). The ring retains the most recent
+    /// `ring_cap` snapshots; `writer`, when given, receives each snapshot
+    /// as one NDJSON line (flushed per line).
     pub fn start(
         shared: SharedRegistry,
         interval: Duration,
@@ -233,16 +227,25 @@ impl Sampler {
         writer: Option<Box<dyn Write + Send>>,
     ) -> Sampler {
         let stop = Arc::new(AtomicBool::new(false));
-        let worker = Worker {
+        let mut worker = Worker {
             shared,
             interval: interval.max(Duration::from_millis(1)),
             ring_cap: ring_cap.max(2),
             writer,
             stop: stop.clone(),
         };
+        let start = Instant::now();
+        let mut log = SampleLog {
+            snapshots: VecDeque::new(),
+            taken: 0,
+            dropped: 0,
+            stream_ok: true,
+        };
+        let mut prev = Registry::new();
+        worker.take(&mut log, &mut prev, start);
         let thread = std::thread::Builder::new()
             .name("obs-sampler".into())
-            .spawn(move || worker.run())
+            .spawn(move || worker.run(start, log, prev))
             .expect("spawn sampler thread");
         Sampler { stop, thread }
     }

@@ -246,6 +246,9 @@ impl ServerState {
         Ok(id)
     }
 
+    /// Retires slot `id` from the session table, freeing its name for a
+    /// new HELLO. Idempotent: the worker retires the slot before writing
+    /// the REPORT, and session teardown removes it again unconditionally.
     fn remove(&self, id: u64) {
         let mut table = self.table.lock().unwrap();
         table.remove(&id);
@@ -788,6 +791,9 @@ fn session_worker(
                         ],
                     );
                 }
+                // Retire the slot before the client can see the REPORT, so
+                // a HELLO it sends right after reuses the name cleanly.
+                state.remove(id);
                 let _ = send_json(&writer, frame::REPORT, &report);
                 break;
             }

@@ -430,3 +430,23 @@ fn per_session_metrics_expose_and_validate() {
     h.request_shutdown();
     h.join();
 }
+
+#[test]
+fn same_name_session_reopens_right_after_its_report() {
+    // The slot is retired before the REPORT goes out, so a HELLO sent the
+    // moment the REPORT arrives must never draw `duplicate-session`.
+    let h = start("reopen", ServeConfig::default());
+    let chunks = wire_chunks(Benchmark::Mcf, 700);
+    for round in 0..120 {
+        let (mut r, mut w) = connect(&h);
+        let out = client::run_session(&mut r, &mut w, &params(Benchmark::Mcf), &chunks, 4, None)
+            .unwrap_or_else(|e| panic!("round {round}: {e}"));
+        assert_eq!(
+            out.report.path("reason").and_then(|v| v.as_str()),
+            Some("bye"),
+            "round {round}"
+        );
+    }
+    h.request_shutdown();
+    h.join();
+}

@@ -33,10 +33,18 @@
 
 use workloads::{DynInst, OpClass};
 
-use crate::varint::{get_ivarint, put_ivarint};
+use crate::varint::{get_ivarint, put_ivarint, MAX_VARINT_LEN};
 
 /// Number of op classes (tag values `0..OP_CLASSES` are valid).
 pub const OP_CLASSES: usize = 7;
+
+/// The longest encoding [`decode_inst`] accepts for one record: the tag
+/// byte, three register bytes (dst, src0, src1) and four varints of at
+/// most [`MAX_VARINT_LEN`] bytes each (pc, value, mem_addr, target). A
+/// payload that decodes to `count` records is never longer than
+/// `count × MAX_RECORD_LEN`, so readers can reject a larger declared
+/// length before allocating for it.
+pub const MAX_RECORD_LEN: usize = 1 + 3 + 4 * MAX_VARINT_LEN;
 
 const TAG_DST: u8 = 1 << 3;
 const TAG_SRC0: u8 = 1 << 4;

@@ -43,7 +43,7 @@ use std::io::{self, Read, Write};
 
 use workloads::DynInst;
 
-use crate::codec::{decode_payload, encode_inst, DeltaState};
+use crate::codec::{decode_payload, encode_inst, DeltaState, MAX_RECORD_LEN};
 use crate::container::{TraceFileError, CHUNK_HEADER_LEN, HEADER_LEN, MAGIC, VERSION};
 use crate::crc32::crc32;
 
@@ -401,6 +401,15 @@ impl<R: Read> StreamReader<R> {
                  valid chunk nor the end marker"
             )));
         }
+        // The length is an unchecked wire value: bound it by what `count`
+        // records can encode before it sizes an allocation.
+        let max_len = u64::from(count) * MAX_RECORD_LEN as u64;
+        if u64::from(payload_len) > max_len {
+            return Err(self.corrupt(format!(
+                "chunk payload length {payload_len} exceeds {max_len}, the most \
+                 {count} records can encode"
+            )));
+        }
         let mut payload = vec![0u8; payload_len as usize];
         read_fully(&mut self.r, &mut payload).map_err(|short| match short {
             ShortRead::Eof { got } => self.corrupt(format!(
@@ -577,6 +586,64 @@ mod tests {
             TraceFileError::Corrupt { chunk, .. } => assert_eq!(chunk, 2),
             other => panic!("expected Corrupt, got {other}"),
         }
+    }
+
+    #[test]
+    fn forged_payload_length_fails_before_allocating() {
+        let mut bytes = stream_bytes(&[], 4096);
+        bytes.truncate(HEADER_LEN as usize); // drop the end marker
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // stream id
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // count
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // payload_len
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // crc
+        let mut r = StreamReader::new(&bytes[..]).unwrap();
+        match r.next_chunk_into(&mut Vec::new()).unwrap_err() {
+            TraceFileError::Corrupt {
+                chunk,
+                offset,
+                reason,
+            } => {
+                assert_eq!((chunk, offset), (0, HEADER_LEN));
+                assert!(
+                    reason.contains(&format!("{} exceeds", u32::MAX)),
+                    "{reason}"
+                );
+            }
+            other => panic!("expected Corrupt, got {other}"),
+        }
+    }
+
+    #[test]
+    fn max_record_len_bounds_the_worst_record() {
+        // Every optional field present, every varint at its 10-byte
+        // maximum: the encoding is exactly MAX_RECORD_LEN bytes.
+        let far = 1u64 << 63; // a delta of i64::MIN zigzags to u64::MAX
+        let worst = DynInst {
+            pc: far,
+            op: workloads::OpClass::Branch,
+            dst: Some(1),
+            srcs: [Some(2), Some(3)],
+            value: far,
+            mem_addr: Some(far),
+            taken: true,
+            target: far,
+        };
+        let mut buf = Vec::new();
+        encode_inst(&mut buf, &mut DeltaState::new(), &worst);
+        assert_eq!(buf.len(), MAX_RECORD_LEN);
+    }
+
+    #[test]
+    fn wire_chunk_crc_is_pinned() {
+        // Computed with the bytewise CRC-32 loop the slicing kernel
+        // replaced: chunks, files and frames written before the kernel
+        // changed must keep verifying.
+        let insts: Vec<DynInst> = Benchmark::ALL[0].build(1).take(4096).collect();
+        let chunk = encode_wire_chunk(&insts, 0);
+        assert_eq!(chunk.len(), 36_432);
+        let stored = u32::from_le_bytes(chunk[12..16].try_into().unwrap());
+        assert_eq!(stored, 0x9839_FDF6, "payload crc");
+        assert_eq!(crc32(&chunk), 0x38D7_26A5, "whole-chunk crc");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property tests for the binary container: round-trip fidelity across
-//! chunk boundaries, stream interleavings, and every `OpClass`.
+//! chunk boundaries, stream interleavings, and every `OpClass`; and the
+//! CRC-32 kernel against a bit-at-a-time reference.
 
 use proptest::prelude::*;
 use std::io::Cursor;
@@ -35,6 +36,23 @@ fn arb_inst() -> impl Strategy<Value = DynInst> {
         })
 }
 
+/// CRC-32 one bit at a time: no tables, so it shares nothing with the
+/// slicing kernel but the polynomial.
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut crc = 0xffff_ffffu32;
+    for &b in data {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
 fn write_streams(streams: &[(String, Vec<DynInst>)], chunk_cap: u32) -> Vec<u8> {
     let mut w = TraceWriter::new(Vec::new(), chunk_cap).unwrap();
     for (name, insts) in streams {
@@ -47,6 +65,13 @@ fn write_streams(streams: &[(String, Vec<DynInst>)], chunk_cap: u32) -> Vec<u8> 
 }
 
 proptest! {
+    /// The slicing-by-16 kernel computes the standard CRC-32 of any bytes,
+    /// whatever their length (full blocks, tails, or both).
+    #[test]
+    fn crc32_matches_bitwise_reference(data in prop::collection::vec(any::<u8>(), 0..600)) {
+        prop_assert_eq!(tracefile::crc32::crc32(&data), crc32_bitwise(&data));
+    }
+
     /// `write(insts) → read` is the identity, whatever the instructions
     /// and wherever the chunk boundaries fall (cap 1 puts every record in
     /// its own chunk; large caps put them all in one).
