@@ -50,7 +50,9 @@ impl NextLinePrefetcher {
 
 impl Prefetcher for NextLinePrefetcher {
     fn predict(&mut self, _seq: u64, pc: u64) -> Option<u64> {
-        (*self.last.entry_shared(pc)).map(|a| a + self.line_bytes)
+        // Wrapping: a load within one line of the top of the address
+        // space must not panic (debug) where release builds wrap.
+        (*self.last.entry_shared(pc)).map(|a| a.wrapping_add(self.line_bytes))
     }
 
     fn train(&mut self, _seq: u64, pc: u64, addr: u64) {
@@ -170,6 +172,13 @@ mod tests {
         assert_eq!(p.predict(0, 0x40), None);
         p.train(0, 0x40, 0x1000);
         assert_eq!(p.predict(1, 0x40), Some(0x1040));
+    }
+
+    #[test]
+    fn next_line_wraps_at_the_top_of_the_address_space() {
+        let mut p = NextLinePrefetcher::new(64);
+        p.train(0, 0x40, u64::MAX - 10);
+        assert_eq!(p.predict(1, 0x40), Some(53));
     }
 
     #[test]

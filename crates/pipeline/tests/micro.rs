@@ -79,6 +79,26 @@ fn wrong_predictions_cause_reissue_but_not_corruption() {
 }
 
 #[test]
+fn high_register_numbers_simulate_like_low_ones() {
+    // Trace decoders accept any u8 register name. A dependence chain over
+    // registers 100, 200 and 255 must run to completion and time exactly
+    // like the same chain renamed onto registers 1-3.
+    let chain = |[a, b, c]: [u8; 3]| -> Vec<DynInst> {
+        let block = [
+            DynInst::alu(0x400, b, [Some(a), None], 5),
+            DynInst::mul(0x404, c, [Some(b), Some(a)], 25),
+            DynInst::alu(0x408, a, [Some(c), None], 30),
+            DynInst::load(0x40c, b, c, 0x8000, 9),
+        ];
+        repeat(&block, 500)
+    };
+    let high = run_trace(chain([100, 200, 255]), Box::new(LocalEngine::stride_8k()));
+    let low = run_trace(chain([1, 2, 3]), Box::new(LocalEngine::stride_8k()));
+    assert_eq!(high.retired, 2000);
+    assert_eq!(high.to_json().to_json(), low.to_json().to_json());
+}
+
+#[test]
 fn load_misses_throttle_a_pointer_chase() {
     // A serialized chase over a large footprint: every load misses and
     // depends on the previous load's value.
