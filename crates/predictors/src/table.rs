@@ -21,8 +21,32 @@
 //! every payload slot is default-initialized up front, so claiming a fresh
 //! slot writes a tag and a bit, never a payload. [`PcTable::geometry`]
 //! reports the resulting memory footprint.
+//!
+//! # Hashing
+//!
+//! The unbounded table is a `HashMap` keyed by PC, and serve clients choose
+//! those PCs, so its hash must not be predictable from outside: a client
+//! that could steer many PCs into one bucket would turn every probe into a
+//! long scan (HashDoS). Std's SipHash-1-3 is safe but slow for a lookup
+//! made twice per producer (predict, then update).
+//!
+//! The table hashes with a keyed folded multiply instead: the 128-bit
+//! product `(pc ^ k0) * k1` is folded to 64 bits as `lo ^ hi`, and the
+//! finisher folds once more the same way, so every PC bit reaches both the
+//! low bits (bucket index) and the top bits (control tag). One fold alone
+//! leaves about one random key in a hundred under which a strided PC family
+//! (`i << 2`, `i << 12`) piles dozens of PCs into one bucket; two folds
+//! keep the worst bucket near what a random function gives. Each table
+//! draws its own `k0` and odd `k1` from a fresh [`RandomState`], so the
+//! keys are per-process random and differ between tables: a PC set crafted
+//! against one table's keys says nothing about another's.
+//!
+//! Nothing reads the map in iteration order — lookups only — so the keys
+//! decide which bucket an entry lands in but never any reported number.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::mem::size_of;
 
 /// The capacity policy of a [`PcTable`].
@@ -74,9 +98,77 @@ struct DirectTable<E> {
     data: Vec<E>,
 }
 
+/// Per-table keys of the folded-multiply PC hash (see the module-level
+/// "Hashing" section).
+#[derive(Clone, Copy)]
+struct FoldKeys {
+    k0: u64,
+    /// Always odd, so the multiply is a bijection on `u64`.
+    k1: u64,
+}
+
+impl FoldKeys {
+    fn new(k0: u64, k1: u64) -> FoldKeys {
+        FoldKeys { k0, k1: k1 | 1 }
+    }
+
+    /// Fresh keys from std's per-process random hashing state.
+    fn random() -> FoldKeys {
+        let state = RandomState::new();
+        FoldKeys::new(state.hash_one(0u64), state.hash_one(1u64))
+    }
+}
+
+impl BuildHasher for FoldKeys {
+    type Hasher = FoldHasher;
+
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher {
+            keys: *self,
+            hash: 0,
+        }
+    }
+}
+
+/// Hasher state of [`FoldKeys`]. A `u64` key is exactly one
+/// [`write_u64`](Hasher::write_u64); byte writes are folded in 8-byte
+/// words so it stays a correct `Hasher` for any key type.
+struct FoldHasher {
+    keys: FoldKeys,
+    hash: u64,
+}
+
+/// The 128-bit product `a * b` folded to 64 bits as `lo ^ hi`.
+#[inline]
+fn fold(a: u64, b: u64) -> u64 {
+    let p = u128::from(a) * u128::from(b);
+    p as u64 ^ (p >> 64) as u64
+}
+
+impl Hasher for FoldHasher {
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.hash = fold(x ^ self.hash ^ self.keys.k0, self.keys.k1);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for word in bytes.chunks(8) {
+            let mut buf = [0u8; 8];
+            buf[..word.len()].copy_from_slice(word);
+            self.write_u64(u64::from_le_bytes(buf));
+        }
+    }
+
+    /// One more keyed fold (see the module-level "Hashing" section).
+    #[inline]
+    fn finish(&self) -> u64 {
+        fold(self.hash ^ self.keys.k0, self.keys.k1)
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Storage<E> {
-    Unbounded(HashMap<u64, E>),
+    Unbounded(HashMap<u64, E, FoldKeys>),
     Direct(DirectTable<E>),
 }
 
@@ -117,7 +209,7 @@ impl<E: Default> PcTable<E> {
     /// index is computed with a bit mask, as in hardware).
     pub fn new(capacity: Capacity) -> Self {
         let storage = match capacity {
-            Capacity::Unbounded => Storage::Unbounded(HashMap::new()),
+            Capacity::Unbounded => Storage::Unbounded(HashMap::with_hasher(FoldKeys::random())),
             Capacity::Entries(n) => {
                 assert!(
                     n > 0 && n.is_power_of_two(),
@@ -345,6 +437,81 @@ mod tests {
         assert_eq!(g.probe_len, 0);
         assert_eq!(g.occupied, 1);
         assert_eq!(g.bytes, 16);
+    }
+
+    /// Worst bucket load on the low 16 bits and number of distinct top-7-bit
+    /// tags (hashbrown's probe index and control byte) over `pcs`.
+    fn flood_stats(pcs: &[u64], hash: impl Fn(u64) -> u64) -> (usize, usize) {
+        let mut load = vec![0usize; 1 << 16];
+        let mut tags = [false; 128];
+        for &pc in pcs {
+            let h = hash(pc);
+            load[(h & 0xffff) as usize] += 1;
+            tags[(h >> 57) as usize] = true;
+        }
+        let max = load.into_iter().max().unwrap_or(0);
+        (max, tags.iter().filter(|&&t| t).count())
+    }
+
+    /// PC families with all their variation in bits a weak multiply hash
+    /// drops: high bits only, page-strided, and a fixed low pattern.
+    fn flood_families() -> [(&'static str, Vec<u64>); 3] {
+        let n = 1u64 << 16;
+        [
+            ("i << 32", (0..n).map(|i| i << 32).collect()),
+            ("i << 12", (0..n).map(|i| i << 12).collect()),
+            (
+                "(i << 20) | 0x40",
+                (0..n).map(|i| (i << 20) | 0x40).collect(),
+            ),
+        ]
+    }
+
+    fn flood_resistant(stats: (usize, usize)) -> bool {
+        stats.0 <= 16 && stats.1 >= 100
+    }
+
+    #[test]
+    fn keyed_fold_spreads_crafted_pc_floods() {
+        let mut keys = vec![
+            FoldKeys::new(0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344),
+            FoldKeys::new(0xa409_3822_299f_31d0, 0x082e_fa98_ec4e_6c89),
+            FoldKeys::new(0x4528_21e6_38d0_1377, 0xbe54_66cf_34e9_0c6c),
+            FoldKeys::new(0, 0x9e37_79b9_7f4a_7c15),
+        ];
+        keys.push(FoldKeys::random());
+        for (name, pcs) in flood_families() {
+            for (k, key) in keys.iter().enumerate() {
+                let stats = flood_stats(&pcs, |pc| key.hash_one(pc));
+                assert!(
+                    flood_resistant(stats),
+                    "{name}, key {k}: max load {}, {} tags",
+                    stats.0,
+                    stats.1
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unkeyed_multiply_fails_the_flood_check() {
+        // The check has teeth: a plain multiply hash keeps the low bits of
+        // a low-bit-poor PC low-bit-poor, so every family piles up.
+        const K: u64 = 0x9e37_79b9_7f4a_7c15;
+        for (name, pcs) in flood_families() {
+            let stats = flood_stats(&pcs, |pc| pc.wrapping_mul(K));
+            assert!(!flood_resistant(stats), "{name}: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn fold_hasher_handles_byte_keys() {
+        let mut m: HashMap<String, usize, FoldKeys> = HashMap::with_hasher(FoldKeys::random());
+        for i in 0..100 {
+            m.insert(format!("key-{i}"), i);
+        }
+        assert_eq!(m.len(), 100);
+        assert!((0..100).all(|i| m.get(&format!("key-{i}")) == Some(&i)));
     }
 
     #[test]

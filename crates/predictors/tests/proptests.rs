@@ -1,24 +1,82 @@
 //! Property-based tests for the predictor substrate.
 
+use std::collections::BTreeMap;
+
 use predictors::{
     Capacity, ConfidenceConfig, ConfidenceTable, DfcmPredictor, LastValuePredictor, MarkovConfig,
-    MarkovPredictor, PcTable, StridePredictor, ValuePredictor,
+    MarkovPredictor, PcTable, PredictorStats, StridePredictor, ValuePredictor,
 };
 use proptest::prelude::*;
+use workloads::{Benchmark, SyntheticSource, TraceSource};
+
+/// Stride and DFCM stats over the first producers of `Benchmark::ALL[0]`,
+/// on unbounded tables built (and so keyed) by the calling thread.
+fn unbounded_stats() -> Vec<PredictorStats> {
+    let mut predictors: Vec<Box<dyn ValuePredictor>> = vec![
+        Box::new(StridePredictor::new(Capacity::Unbounded)),
+        Box::new(DfcmPredictor::new(Capacity::Unbounded, 4, 16)),
+    ];
+    let mut stats = vec![PredictorStats::new(); predictors.len()];
+    let source = SyntheticSource::new(7);
+    for inst in source
+        .stream(Benchmark::ALL[0])
+        .filter(|i| i.produces_value())
+        .take(30_000)
+    {
+        for (p, s) in predictors.iter_mut().zip(&mut stats) {
+            s.record(p.predict(inst.pc), false, inst.value);
+            p.update(inst.pc, inst.value);
+        }
+    }
+    stats
+}
+
+/// Every unbounded table draws its own hash keys, and a second thread
+/// draws from a different per-thread random state: the stats must not
+/// depend on either.
+#[test]
+fn unbounded_stats_do_not_depend_on_hash_keys() {
+    let here = unbounded_stats();
+    let there = std::thread::spawn(unbounded_stats).join().unwrap();
+    assert!(here[0].total() > 0);
+    assert_eq!(here, there);
+    assert_eq!(here, unbounded_stats());
+}
 
 proptest! {
-    /// An unbounded table behaves exactly like a per-PC map.
+    /// An unbounded table behaves exactly like a per-PC map: random
+    /// `entry` / `entry_shared` / `peek` sequences match a `BTreeMap`
+    /// model, including PCs whose variation sits only in bits a weak hash
+    /// drops.
     #[test]
-    fn unbounded_table_is_a_map(ops in prop::collection::vec((0u64..512, any::<u64>()), 0..300)) {
+    fn unbounded_table_is_a_map(
+        ops in prop::collection::vec((0u8..3, 0u8..3, 0u64..512, any::<u64>()), 0..400)
+    ) {
         let mut t: PcTable<u64> = PcTable::new(Capacity::Unbounded);
-        let mut model = std::collections::HashMap::new();
-        for (pc, v) in ops {
-            let pc = pc * 4;
-            *t.entry_shared(pc) = v;
-            model.insert(pc, v);
-            prop_assert_eq!(t.peek(pc), model.get(&pc));
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut accesses = 0u64;
+        for (op, shape, i, v) in ops {
+            let pc = match shape {
+                0 => i * 4,
+                1 => i << 32,
+                _ => (i << 20) | 0x40,
+            };
+            match op {
+                0 | 1 => {
+                    let slot = if op == 0 { t.entry(pc) } else { t.entry_shared(pc) };
+                    let expected = model.entry(pc).or_default();
+                    prop_assert_eq!(*slot, *expected);
+                    *slot = v;
+                    *expected = v;
+                    accesses += 1;
+                }
+                _ => prop_assert_eq!(t.peek(pc), model.get(&pc)),
+            }
+            prop_assert_eq!(t.len(), model.len());
         }
+        prop_assert_eq!(t.accesses(), accesses);
         prop_assert_eq!(t.conflicts(), 0);
+        prop_assert_eq!(t.geometry().occupied, model.len());
     }
 
     /// Bounded-table conflicts are exactly the accesses whose slot was

@@ -22,7 +22,7 @@
 //!        table, delay, warmup,
 //!        measure, hold?}          →
 //!                                 ←     WELCOME {session, chunk_cap,
-//!                                                queue}
+//!                                                queue, table_cap}
 //! CHUNK seq=0 ‖ wire chunk        →
 //! CHUNK seq=1 ‖ wire chunk        →
 //!                                 ←     ACK {chunks, records, producers,
@@ -58,11 +58,20 @@
 //! feature never send the frame (inside a session it returns that
 //! session's health; on a control connection, every known session's).
 //!
+//! HELLO bounds: `order` is 1..=`gdiff::MAX_ORDER`, `table` is 0
+//! (unbounded) or a power of two up to [`session::MAX_TABLE_ENTRIES`], and
+//! `delay` is at most [`session::MAX_DELAY`]; anything else draws
+//! `ERROR {code: "bad-hello"}` before a session is admitted, so no client
+//! can size an allocation or trip a constructor panic.
+//!
 //! Failure containment: a malformed frame or a CRC-corrupt chunk draws one
 //! `ERROR` frame and kills that session only; the daemon keeps serving
-//! everyone else. A session evicted to make room (LRU, `--max-sessions`)
-//! gets `ERROR {code: "evicted"}`. Every kill path — malformed frame,
-//! corrupt chunk, unexpected frame, vanished client, eviction — leaves
+//! everyone else. An unbounded (`table=0`) session whose table grows past
+//! [`session::MAX_TABLE_ENTRIES`] (WELCOME `table_cap`, checked after each
+//! chunk) is killed the same way with `ERROR {code: "table-full"}`. A session
+//! evicted to make room (LRU, `--max-sessions`) gets
+//! `ERROR {code: "evicted"}`. Every kill path — malformed frame, corrupt
+//! chunk, full table, unexpected frame, vanished client, eviction — leaves
 //! exactly one structured journal record (`obs::log`) naming the session,
 //! slot id, in-flight sequence number, and reason; online accuracy drift
 //! (`obs::health`) surfaces as `drift_detected`/`drift_recovered` records

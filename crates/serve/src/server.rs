@@ -47,7 +47,7 @@ use obs::JsonValue;
 use tracefile::{decode_wire_chunk, DEFAULT_CHUNK_CAP};
 
 use crate::frame::{self, Frame, FrameError};
-use crate::session::{SessionCore, SessionParams, HEALTH_SCHEMA};
+use crate::session::{SessionCore, SessionParams, HEALTH_SCHEMA, MAX_TABLE_ENTRIES};
 
 /// Schema tag of STATUS frame payloads.
 pub const STATUS_SCHEMA: &str = "gdiff-serve-status/v1";
@@ -511,6 +511,7 @@ fn run_session(
         .with("session", params.name.as_str())
         .with("chunk_cap", u64::from(DEFAULT_CHUNK_CAP))
         .with("queue", state.cfg.queue_depth as u64)
+        .with("table_cap", MAX_TABLE_ENTRIES as u64)
         // Version negotiation: a v1 client that predates HEALTH ignores
         // unknown WELCOME keys and never sends HEALTH_REQ; a new client
         // sends it only after seeing "health" here.
@@ -720,6 +721,17 @@ fn session_worker(
             open = cv.wait(open).unwrap();
         }
     }
+    // A worker-side kill: the one journal record, one ERROR frame, then
+    // the slot is marked and its reader woken so it stops accepting chunks.
+    let kill = |seq: u64, msg: &'static str, code: &str, detail: &str| {
+        state.count("serve.errors", 1);
+        kill_session_record(&state, &core, id, msg, seq, detail);
+        send_error(&writer, code, detail);
+        if let Some(slot) = state.slot(id) {
+            slot.kill.store(true, Ordering::SeqCst);
+            slot.wake_reader();
+        }
+    };
     while let Ok(item) = rx.recv() {
         match item {
             Work::Chunk(payload) => {
@@ -731,25 +743,16 @@ fn session_worker(
                 let mut insts = Vec::new();
                 if let Err(e) = decode_wire_chunk(wire, DEFAULT_CHUNK_CAP, &mut insts) {
                     let chunk = core.lock().unwrap().chunks();
-                    state.count("serve.errors", 1);
-                    kill_session_record(
-                        &state,
-                        &core,
-                        id,
-                        "corrupt chunk; session killed",
+                    let detail = format!("chunk {chunk}: {e}");
+                    kill(
                         seq,
-                        &format!("chunk {chunk}: {e}"),
+                        "corrupt chunk; session killed",
+                        "corrupt-chunk",
+                        &detail,
                     );
-                    send_error(&writer, "corrupt-chunk", &format!("chunk {chunk}: {e}"));
-                    // Kill the session: mark the slot and wake the reader
-                    // so it stops accepting more chunks.
-                    if let Some(slot) = state.slot(id) {
-                        slot.kill.store(true, Ordering::SeqCst);
-                        slot.wake_reader();
-                    }
                     break;
                 }
-                let (ack, events, name) = {
+                let (ack, events, name, entries) = {
                     let mut core = core.lock().unwrap();
                     core.feed_chunk(&insts);
                     state.publish_session(&core);
@@ -757,6 +760,7 @@ fn session_worker(
                         core.progress_json(),
                         core.take_health_events(),
                         core.params().name.clone(),
+                        core.unbounded_entries(),
                     )
                 };
                 for ev in events {
@@ -764,6 +768,11 @@ fn session_worker(
                 }
                 state.count("serve.chunks", 1);
                 state.count("serve.records", insts.len() as u64);
+                if let Some(n) = entries.filter(|&n| n > MAX_TABLE_ENTRIES) {
+                    let detail = format!("{n} table entries exceed the cap of {MAX_TABLE_ENTRIES}");
+                    kill(seq, "table full; session killed", "table-full", &detail);
+                    break;
+                }
                 if send_json(&writer, frame::ACK, &ack).is_err() {
                     kill_session_record(
                         &state,

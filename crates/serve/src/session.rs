@@ -21,6 +21,25 @@ pub const REPORT_SCHEMA: &str = "gdiff-serve-report/v1";
 /// Schema tag of the per-session HEALTH payload.
 pub const HEALTH_SCHEMA: &str = "gdiff-serve-health/v1";
 
+/// Largest value delay T a HELLO may ask for. The delay FIFO is sized by
+/// T when the session opens, so an unchecked T would let a client make
+/// the daemon allocate any amount; 2^16 is far above the paper's T range.
+pub const MAX_DELAY: usize = 1 << 16;
+
+/// Largest bounded prediction table (entries) a HELLO may ask for, and the
+/// entry cap of an unbounded (`table=0`) session, which is killed with
+/// `table-full` once a chunk leaves its table past it.
+///
+/// A bounded table is allocated whole when the session opens: 2^16 gDiff
+/// entries are ~35 MB, eight times the paper's 8K-entry table. An
+/// unbounded one is checked only after each chunk, and a chunk carries up
+/// to `DEFAULT_CHUNK_CAP` = 2^16 records, so it can hold 2^17 entries when
+/// the check fires. Its `HashMap` keeps buckets at most 7/8 full, so that
+/// is 2^18 buckets of 528 B (a PC and a `GDiffEntry`): ~138 MB per
+/// session, plus the ~69 MB table it grew out of while that last resize
+/// copies.
+pub const MAX_TABLE_ENTRIES: usize = 1 << 16;
+
 /// Parameters a client proposes in its HELLO frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionParams {
@@ -28,9 +47,11 @@ pub struct SessionParams {
     pub name: String,
     /// Global Value Queue order.
     pub order: usize,
-    /// Prediction table entries; 0 = unbounded.
+    /// Prediction table entries: 0 = unbounded, otherwise a power of two
+    /// up to [`MAX_TABLE_ENTRIES`].
     pub table: usize,
-    /// Value delay T (0 = immediate update, the §3 default).
+    /// Value delay T (0 = immediate update, the §3 default), at most
+    /// [`MAX_DELAY`].
     pub delay: usize,
     /// Producers consumed before measurement starts.
     pub warmup: u64,
@@ -122,6 +143,16 @@ impl SessionParams {
                 gdiff::MAX_ORDER
             )));
         }
+        let table = uint("table", 0)?;
+        if table != 0 && !(table.is_power_of_two() && table <= MAX_TABLE_ENTRIES as u64) {
+            return Err(BadHello(format!(
+                "table {table} is neither 0 nor a power of two up to {MAX_TABLE_ENTRIES}"
+            )));
+        }
+        let delay = uint("delay", 0)?;
+        if delay > MAX_DELAY as u64 {
+            return Err(BadHello(format!("delay {delay} exceeds {MAX_DELAY}")));
+        }
         let hold = match v.path("hold") {
             None => false,
             Some(JsonValue::Bool(b)) => *b,
@@ -130,8 +161,8 @@ impl SessionParams {
         Ok(SessionParams {
             name: name.to_string(),
             order: order as usize,
-            table: uint("table", 0)? as usize,
-            delay: uint("delay", 0)? as usize,
+            table: table as usize,
+            delay: delay as usize,
             warmup: uint("warmup", 0)?,
             measure: match v.path("measure") {
                 None => u64::MAX,
@@ -204,6 +235,12 @@ impl SessionCore {
     /// The parameters the session was opened with.
     pub fn params(&self) -> &SessionParams {
         &self.params
+    }
+
+    /// Live entries of an unbounded (`table=0`) session's prediction
+    /// table, in O(1); `None` for a bounded table, whose size HELLO fixed.
+    pub fn unbounded_entries(&self) -> Option<usize> {
+        (self.params.table == 0).then(|| self.predictor.core().geometry().occupied)
     }
 
     /// Feeds one decoded chunk through the profile-mode loop.
@@ -391,6 +428,40 @@ mod tests {
             v.set("warmup", -3.0);
         }))
         .is_err());
+        // A table the predictor constructor would panic on, or one big
+        // enough to exhaust memory, is refused; so is a delay that sizes
+        // an absurd FIFO.
+        for table in [3u64, 12, 2 * MAX_TABLE_ENTRIES as u64, 1 << 40] {
+            assert!(
+                SessionParams::from_hello(&hello(|v| {
+                    v.set("table", table);
+                }))
+                .is_err(),
+                "table {table}"
+            );
+        }
+        for table in [0u64, 1, 8192, MAX_TABLE_ENTRIES as u64] {
+            assert!(
+                SessionParams::from_hello(&hello(|v| {
+                    v.set("table", table);
+                }))
+                .is_ok(),
+                "table {table}"
+            );
+        }
+        for delay in [MAX_DELAY as u64 + 1, 1 << 40] {
+            assert!(
+                SessionParams::from_hello(&hello(|v| {
+                    v.set("delay", delay);
+                }))
+                .is_err(),
+                "delay {delay}"
+            );
+        }
+        assert!(SessionParams::from_hello(&hello(|v| {
+            v.set("delay", MAX_DELAY as u64);
+        }))
+        .is_ok());
         assert!(SessionParams::from_hello(&hello(|v| {
             v.set("measure", 1.5);
         }))

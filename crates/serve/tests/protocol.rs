@@ -1,15 +1,18 @@
 //! End-to-end protocol tests against an in-process daemon on a real Unix
 //! socket: containment (malformed frames, corrupt chunks), LRU eviction,
-//! backpressure, concurrency determinism, and graceful shutdown.
+//! backpressure, concurrency determinism, graceful shutdown, and hostile
+//! HELLOs and PC floods.
 
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 
+use obs::log::{self as jlog, Level, LogConfig, OwnedValue};
 use obs::JsonValue;
 use serve::frame;
+use serve::session::{MAX_DELAY, MAX_TABLE_ENTRIES};
 use serve::{client, ServeConfig, Server, ServerHandle, SessionParams};
-use tracefile::encode_wire_chunk;
+use tracefile::{encode_wire_chunk, DEFAULT_CHUNK_CAP};
 use workloads::{Benchmark, DynInst, SyntheticSource, TraceSource};
 
 const SEED: u64 = 42;
@@ -447,6 +450,127 @@ fn same_name_session_reopens_right_after_its_report() {
             "round {round}"
         );
     }
+    h.request_shutdown();
+    h.join();
+}
+
+/// The code of an ERROR frame's JSON payload.
+fn error_code(f: &frame::Frame) -> Option<String> {
+    assert_eq!(f.ftype, frame::ERROR, "expected ERROR, got {:#x}", f.ftype);
+    let v = frame::json_payload(f).unwrap();
+    v.path("code").and_then(|c| c.as_str()).map(String::from)
+}
+
+#[test]
+fn out_of_bounds_hello_is_refused_and_daemon_keeps_serving() {
+    // Each of these once passed HELLO: table 3 panicked the connection
+    // thread after WELCOME, and delay 2^40 aborted the whole daemon while
+    // sizing the delay FIFO.
+    let h = start("badhello", ServeConfig::default());
+    let bad: [(&str, u64); 5] = [
+        ("table", 3),
+        ("table", 2 * MAX_TABLE_ENTRIES as u64),
+        ("table", 1 << 40),
+        ("delay", MAX_DELAY as u64 + 1),
+        ("delay", 1 << 40),
+    ];
+    for (key, value) in bad {
+        let (mut r, mut w) = connect(&h);
+        let mut hello = params(Benchmark::Gcc).to_hello();
+        hello.set(key, value);
+        frame::write_json(&mut w, frame::HELLO, &hello).unwrap();
+        let f = frame::read_frame(&mut r).expect("an answer to the hello");
+        assert_eq!(
+            error_code(&f).as_deref(),
+            Some("bad-hello"),
+            "{key}={value}"
+        );
+        assert!(
+            matches!(frame::read_frame(&mut r), Err(frame::FrameError::Closed)),
+            "{key}={value}: exactly one ERROR, then the connection closes"
+        );
+    }
+    let snap = h.state().live().snapshot();
+    assert_eq!(snap.counter_by_name("serve.errors"), Some(bad.len() as u64));
+    assert_eq!(snap.counter_by_name("serve.sessions_started"), Some(0));
+
+    let (mut r, mut w) = connect(&h);
+    let chunks = wire_chunks(Benchmark::Gcc, 700);
+    let out = client::run_session(&mut r, &mut w, &params(Benchmark::Gcc), &chunks, 4, None)
+        .expect("the daemon still serves");
+    assert_report_matches(&out.report, Benchmark::Gcc);
+    h.request_shutdown();
+    h.join();
+}
+
+#[test]
+fn pc_flood_past_the_table_cap_kills_only_that_session() {
+    let h = start("flood", ServeConfig::default());
+
+    // Every record a value producer at a PC never seen before: an
+    // unbounded table grows by one entry per record. One full chunk fills
+    // the table exactly to the cap; one more fresh PC goes past it.
+    let flood: Vec<DynInst> = (0..=MAX_TABLE_ENTRIES as u64)
+        .map(|i| DynInst::alu(0x10_0000 + i * 4, 1, [None, None], i))
+        .collect();
+    let (full, over) = flood.split_at(MAX_TABLE_ENTRIES);
+    assert_eq!(full.len(), DEFAULT_CHUNK_CAP as usize);
+    let chunks = [encode_wire_chunk(full, 0), encode_wire_chunk(over, 0)];
+    let hostile = SessionParams {
+        name: "flood".into(),
+        ..SessionParams::default()
+    };
+
+    jlog::enable(&LogConfig {
+        level: Level::Error,
+        ..LogConfig::default()
+    })
+    .unwrap();
+    let (mut r, mut w) = connect(&h);
+    frame::write_json(&mut w, frame::HELLO, &hostile.to_hello()).unwrap();
+    let welcome = frame::json_payload(&frame::read_frame(&mut r).unwrap()).unwrap();
+    assert_eq!(
+        welcome.path("table_cap").and_then(|v| v.as_f64()),
+        Some(MAX_TABLE_ENTRIES as f64)
+    );
+    // One chunk in flight at a time: the client stops at the ERROR with
+    // nothing half sent.
+    let mut killed_at = None;
+    for (seq, c) in chunks.iter().enumerate() {
+        frame::write_frame(&mut w, frame::CHUNK, &frame::chunk_payload(seq as u64, c)).unwrap();
+        let f = frame::read_frame(&mut r).unwrap();
+        if f.ftype != frame::ACK {
+            assert_eq!(error_code(&f).as_deref(), Some("table-full"));
+            killed_at = Some(seq);
+            break;
+        }
+    }
+    assert_eq!(killed_at, Some(1));
+    assert!(matches!(
+        frame::read_frame(&mut r),
+        Err(frame::FrameError::Closed)
+    ));
+    let records = jlog::ring_snapshot();
+    jlog::disable();
+    let flood_errors: Vec<_> = records
+        .iter()
+        .filter(|rec| {
+            rec.level == Level::Error && rec.kv("session") == Some(&OwnedValue::Str("flood".into()))
+        })
+        .collect();
+    assert_eq!(flood_errors.len(), 1, "{flood_errors:?}");
+    assert_eq!(flood_errors[0].msg, "table full; session killed");
+
+    // A normal session on the same daemon runs to its usual REPORT.
+    let (mut r2, mut w2) = connect(&h);
+    let normal = wire_chunks(Benchmark::Gzip, 700);
+    let out = client::run_session(&mut r2, &mut w2, &params(Benchmark::Gzip), &normal, 4, None)
+        .expect("the daemon still serves");
+    assert_eq!(
+        out.report.path("reason").and_then(|v| v.as_str()),
+        Some("bye")
+    );
+    assert_report_matches(&out.report, Benchmark::Gzip);
     h.request_shutdown();
     h.join();
 }
