@@ -1,9 +1,9 @@
-//! Micro-benchmarks of the global value queue and the gDiff table update,
-//! including the queue-order ablation (the hardware-cost axis of the
-//! paper's order-8 vs order-32 design choice).
+//! Micro-benchmarks of the global value queue and the split-phase
+//! (dispatch/write-back) queue disciplines. The gDiff table update by
+//! queue order lives in `update_path.rs` (`gdiff_update_batched`).
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gdiff::{GDiffCore, GlobalValueQueue, HgvqPredictor, SgvqPredictor};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use gdiff::{GlobalValueQueue, HgvqPredictor, SgvqPredictor};
 use predictors::Capacity;
 
 fn bench_queue_ops(c: &mut Criterion) {
@@ -36,27 +36,6 @@ fn bench_queue_ops(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_gdiff_update_orders(c: &mut Criterion) {
-    // The update computes `order` differences: cost scales with the order.
-    let mut g = c.benchmark_group("gdiff_update_by_order");
-    for order in [4usize, 8, 16, 32, 64] {
-        g.bench_with_input(BenchmarkId::from_parameter(order), &order, |b, &order| {
-            let mut core = GDiffCore::new(Capacity::Entries(8192), order);
-            let mut q = GlobalValueQueue::new(order);
-            for i in 0..order as u64 * 2 {
-                q.push(i * 3);
-            }
-            let mut i = 0u64;
-            b.iter(|| {
-                i += 1;
-                core.update_with(black_box(0x40), black_box(i * 7), |k| q.back(k));
-                q.push(i * 7);
-            })
-        });
-    }
-    g.finish();
-}
-
 fn bench_split_phase(c: &mut Criterion) {
     let mut g = c.benchmark_group("split_phase_dispatch_writeback");
     g.throughput(Throughput::Elements(1));
@@ -82,10 +61,5 @@ fn bench_split_phase(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_queue_ops,
-    bench_gdiff_update_orders,
-    bench_split_phase
-);
+criterion_group!(benches, bench_queue_ops, bench_split_phase);
 criterion_main!(benches);

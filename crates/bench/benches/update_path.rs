@@ -4,15 +4,14 @@
 //! they bound simulator throughput. The update path is allocation-free:
 //! difference vectors live inline in the table entry (`gdiff::MAX_ORDER`)
 //! and the per-completion scratch is a stack array plus an availability
-//! bitmask. `gdiff_update/order_*` is the acceptance series for hot-path
-//! changes; `gvq/*` covers the queue half of the pair.
+//! bitmask. `gdiff_update_batched/order_*` is the acceptance series for
+//! hot-path changes; `gvq/*` covers the queue half of the pair.
 //!
-//! The vectorization legs compare three formulations of the same update:
-//! `gdiff_update` (the closure wrapper, one `back(k)` read per distance),
-//! `gdiff_update_batched` (one `window` pass feeding the lane-parallel
-//! `update_from_window` kernel — the production path inside the
-//! predictors), and `gdiff_update_scalar_ref` (the retained pre-vectorized
-//! scan in `gdiff::reference`, the equivalence oracle's cost).
+//! Every `GDiffCore` leg drives the production pair the predictors use:
+//! `predict_with_tap` (one closure read at the selected distance) and one
+//! `window` pass feeding the lane-parallel `update_from_window` kernel.
+//! `gdiff_update_scalar_ref` times the retained pre-vectorized scan in
+//! `gdiff::reference`, the equivalence oracle's cost, for contrast.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gdiff::reference::ReferenceCore;
@@ -67,32 +66,9 @@ fn bench_gvq_push(c: &mut Criterion) {
     g.finish();
 }
 
-/// Orders swept by the vectorization comparison legs: the paper's profile
-/// order (8), the SGVQ order (32), and the two extremes of the lane grid.
+/// Orders swept by the update legs: the paper's profile order (8), the
+/// SGVQ order (32), and the two extremes of the lane grid.
 const SWEEP_ORDERS: [usize; 4] = [4, 8, 32, 64];
-
-fn bench_gdiff_update(c: &mut Criterion) {
-    // One update computes `order` differences against the queue, selects a
-    // distance, and stores the vector — all without heap allocation.
-    let mut g = c.benchmark_group("gdiff_update");
-    g.throughput(Throughput::Elements(1));
-    for order in SWEEP_ORDERS {
-        g.bench_with_input(BenchmarkId::new("order", order), &order, |b, &order| {
-            let mut core = GDiffCore::new(Capacity::Entries(8192), order);
-            let mut q = GlobalValueQueue::new(order);
-            for i in 0..order as u64 * 2 {
-                q.push(i * 3);
-            }
-            let mut i = 0u64;
-            b.iter(|| {
-                i += 1;
-                core.update_with(black_box(0x40), black_box(i * 7), |k| q.back(k));
-                q.push(i * 7);
-            })
-        });
-    }
-    g.finish();
-}
 
 fn bench_gdiff_update_batched(c: &mut Criterion) {
     // The production hot path: one window read, then the chunked
@@ -158,10 +134,12 @@ fn bench_gdiff_predict_update_round(c: &mut Criterion) {
                 q.push(i * 3);
             }
             let mut i = 0u64;
+            let mut window = [0u64; MAX_ORDER];
             b.iter(|| {
                 i += 1;
-                let p = core.predict_with(black_box(0x40), |k| q.back(k));
-                core.update_with(0x40, i * 7, |k| q.back(k));
+                let (p, _) = core.predict_with_tap(black_box(0x40), |k| q.back(k));
+                let avail = q.window(&mut window);
+                core.update_from_window(0x40, i * 7, &window, avail);
                 q.push(i * 7);
                 black_box(p)
             })
@@ -178,9 +156,11 @@ fn order8_burst(iters: u64) -> Duration {
     for i in 0..order as u64 * 2 {
         q.push(i * 3);
     }
+    let mut window = [0u64; MAX_ORDER];
     let t0 = Instant::now();
     for i in 1..=iters {
-        core.update_with(black_box(0x40), black_box(i * 7), |k| q.back(k));
+        let avail = q.window(&mut window);
+        core.update_from_window(black_box(0x40), black_box(i * 7), &window, avail);
         q.push(i * 7);
     }
     black_box(&core);
@@ -282,9 +262,11 @@ fn bench_telemetry_overhead_guard(c: &mut Criterion) {
             q.push(i * 3);
         }
         let mut i = 0u64;
+        let mut window = [0u64; MAX_ORDER];
         b.iter(|| {
             i += 1;
-            core.update_with(black_box(0x40), black_box(i * 7), |k| q.back(k));
+            let avail = q.window(&mut window);
+            core.update_from_window(black_box(0x40), black_box(i * 7), &window, avail);
             q.push(i * 7);
         })
     });
@@ -295,7 +277,6 @@ fn bench_telemetry_overhead_guard(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_gvq_push,
-    bench_gdiff_update,
     bench_gdiff_update_batched,
     bench_gdiff_update_scalar_ref,
     bench_gdiff_predict_update_round,

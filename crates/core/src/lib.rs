@@ -43,11 +43,13 @@
 //!
 //! # Hot path
 //!
-//! The per-completion update runs as a lane-parallel kernel over a queue
-//! window read in one pass ([`GlobalValueQueue::window`] /
-//! [`GDiffCore::update_from_window`]); the per-distance closure API remains
-//! as a thin compatibility wrapper, and [`reference::ReferenceCore`] keeps
-//! the scalar formulation as the equivalence-test oracle.
+//! [`GDiffCore`] has one predict and one update. A prediction reads a
+//! single queue slot, the selected distance, through a closure
+//! ([`GDiffCore::predict_with_tap`]). A completion reads the whole queue
+//! window in one pass and runs a lane-parallel kernel over it
+//! ([`GlobalValueQueue::window`] / [`GDiffCore::update_from_window`]).
+//! [`reference::ReferenceCore`] keeps the scalar closure formulation as
+//! the equivalence-test oracle.
 //!
 //! # Quick start
 //!

@@ -115,7 +115,7 @@ impl GDiffPredictor {
 impl ValuePredictor for GDiffPredictor {
     fn predict(&mut self, pc: u64) -> Option<u64> {
         let queue = &self.queue;
-        self.core.predict_with(pc, |k| queue.back(k))
+        self.core.predict_with_tap(pc, |k| queue.back(k)).0
     }
 
     fn update(&mut self, pc: u64, actual: u64) {

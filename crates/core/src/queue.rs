@@ -207,8 +207,7 @@ impl GlobalValueQueue {
 
     /// Ring index of the slot `dist` values behind the head, derived from
     /// the cached `head_idx` — a compare and subtract, never a division
-    /// (the `seq % len` form costs an integer divide per queue read, which
-    /// dominates the closure-based update path).
+    /// (the `seq % len` form costs an integer divide per queue read).
     #[inline]
     fn index_back(&self, dist: usize) -> Option<usize> {
         if dist == 0 || dist > self.values.len() {

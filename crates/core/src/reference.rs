@@ -60,8 +60,7 @@ impl ReferenceCore {
         self.order
     }
 
-    /// Scalar prediction: the counterpart of
-    /// [`GDiffCore::predict_with`](crate::GDiffCore::predict_with).
+    /// Scalar prediction, value only: [`Self::predict_with_tap`]'s `.0`.
     pub fn predict_with(
         &mut self,
         pc: u64,
@@ -88,7 +87,9 @@ impl ReferenceCore {
         (value, Some((k, diff)))
     }
 
-    /// Scalar training: the pre-vectorization `1..=order` scan, verbatim.
+    /// Scalar training: the pre-vectorization `1..=order` scan, verbatim —
+    /// the counterpart of
+    /// [`GDiffCore::update_from_window`](crate::GDiffCore::update_from_window).
     pub fn update_with(&mut self, pc: u64, actual: u64, value_at: impl Fn(usize) -> Option<u64>) {
         let order = self.order;
         let mut calc = vec![0i64; order];

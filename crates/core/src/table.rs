@@ -84,44 +84,6 @@ fn match_and_store(
     mask & avail
 }
 
-/// The per-entry update policy (§3), shared by the closure wrapper and the
-/// batched window entry point.
-///
-/// Hysteresis runs first: while the selected distance keeps matching, no
-/// other lane's match can change the selection, so the whole compare-mask
-/// is dead — one subtract-and-compare decides, and the update collapses to
-/// the plain [`store_diffs`] sweep. Only a broken (or absent) selection
-/// pays for the full matching kernel plus smallest-match selection; when
-/// nothing matches there either, the selection is left unchanged, per the
-/// paper.
-#[inline]
-fn update_entry(
-    e: &mut GDiffEntry,
-    order: usize,
-    actual: u64,
-    values: &[u64; MAX_ORDER],
-    avail: u64,
-) {
-    let avail = avail & lane_mask(order);
-    let keep = match e.distance {
-        Some(k) if e.seen => {
-            let i = usize::from(k) - 1;
-            (avail >> i) & 1 != 0 && actual.wrapping_sub(values[i]) as i64 == e.diffs[i]
-        }
-        _ => false,
-    };
-    if keep || !e.seen {
-        store_diffs(&mut e.diffs, values, actual, avail, order);
-    } else {
-        let mask = match_and_store(&mut e.diffs, values, actual, avail, order);
-        if mask != 0 {
-            e.distance = Some(mask.trailing_zeros() as u16 + 1);
-        }
-    }
-    e.order = order as u16;
-    e.seen = true;
-}
-
 /// The steady-state store sweep: writes the fresh differences without
 /// computing any match mask. The all-lanes-available case is a bare
 /// subtract-and-store loop (the autovectorizer's favourite shape); partial
@@ -195,13 +157,16 @@ impl GDiffEntry {
 /// The order-`n` gDiff prediction mechanism (Figure 5), decoupled from any
 /// particular queue.
 ///
-/// `GDiffCore` owns only the PC-indexed table; the caller supplies queue
-/// reads as a closure mapping a distance `k` (1-based) to the value at that
-/// distance. This is what lets the same mechanism drive all three queue
-/// disciplines: the profile-mode [`GDiffPredictor`](crate::GDiffPredictor)
-/// reads relative to the queue head, while the
-/// [`HgvqPredictor`](crate::HgvqPredictor) reads relative to the
-/// instruction's own dispatch slot.
+/// `GDiffCore` owns only the PC-indexed table and has one entry point per
+/// pipeline event. A prediction reads **one** queue slot, the selected
+/// distance `k`, through a closure
+/// ([`predict_with_tap`](Self::predict_with_tap)). A completion trains
+/// against all `n` slots at once, read by the caller as a queue window
+/// ([`update_from_window`](Self::update_from_window)). This is what lets the
+/// same mechanism drive all three queue disciplines: the profile-mode
+/// [`GDiffPredictor`](crate::GDiffPredictor) reads relative to the queue
+/// head, while the [`HgvqPredictor`](crate::HgvqPredictor) reads relative
+/// to the instruction's own dispatch slot.
 ///
 /// # Update policy
 ///
@@ -219,12 +184,6 @@ impl GDiffEntry {
 pub struct GDiffCore {
     table: PcTable<GDiffEntry>,
     order: usize,
-    /// Reusable window scratch for the closure-based
-    /// [`update_with`](Self::update_with) wrapper: lanes outside the
-    /// availability mask are unspecified by the window contract, so the
-    /// buffer is zeroed once here and never again (a fresh
-    /// `[0u64; MAX_ORDER]` per update would memset 512 bytes per call).
-    scratch: [u64; MAX_ORDER],
 }
 
 impl GDiffCore {
@@ -242,7 +201,6 @@ impl GDiffCore {
         GDiffCore {
             table: PcTable::new(capacity),
             order,
-            scratch: [0; MAX_ORDER],
         }
     }
 
@@ -253,20 +211,13 @@ impl GDiffCore {
 
     /// Predicts the value of `pc`, reading the queue through `value_at`
     /// (`value_at(k)` = the value at distance `k`, or `None` when that slot
-    /// is unavailable).
-    pub fn predict_with(
-        &mut self,
-        pc: u64,
-        value_at: impl Fn(usize) -> Option<u64>,
-    ) -> Option<u64> {
-        self.predict_with_tap(pc, value_at).0
-    }
-
-    /// [`Self::predict_with`] plus the attempt's provenance: the selected
+    /// is unavailable). Only the selected distance is ever read.
+    ///
+    /// Returns the prediction plus the attempt's provenance: the selected
     /// distance `k` and its stored difference, reported even when the
     /// queue slot at `k` is unavailable and no prediction results. The
-    /// tap reuses the single table lookup, so `predict_with` stays a
-    /// zero-cost wrapper.
+    /// tap reuses the single table lookup, so callers that want only the
+    /// value take `.0` at no extra cost.
     pub fn predict_with_tap(
         &mut self,
         pc: u64,
@@ -283,98 +234,12 @@ impl GDiffCore {
         (value, Some((k, diff)))
     }
 
-    /// [`Self::predict_with`] over a pre-read queue window (the batched
-    /// form): `values[k - 1]` / `avail` follow the
-    /// [`GlobalValueQueue::window`](crate::GlobalValueQueue::window)
-    /// contract.
-    ///
-    /// Note the closure-based [`predict_with`](Self::predict_with) reads at
-    /// most **one** queue slot (the selected distance), so it is the
-    /// cheaper call when no window is already at hand; use this form when
-    /// the caller has batched a window for the matching update anyway.
-    pub fn predict_from_window(
-        &mut self,
-        pc: u64,
-        values: &[u64; MAX_ORDER],
-        avail: u64,
-    ) -> Option<u64> {
-        self.predict_from_window_tap(pc, values, avail).0
-    }
-
-    /// [`Self::predict_from_window`] plus the attempt's provenance, with
-    /// the same tap contract as [`predict_with_tap`](Self::predict_with_tap).
-    #[inline]
-    pub fn predict_from_window_tap(
-        &mut self,
-        pc: u64,
-        values: &[u64; MAX_ORDER],
-        avail: u64,
-    ) -> (Option<u64>, Option<(u16, i64)>) {
-        let e = self.table.entry_shared(pc);
-        let Some(k) = e.distance else {
-            return (None, None);
-        };
-        let i = usize::from(k) - 1;
-        let Some(&diff) = e.diffs.get(i) else {
-            return (None, None);
-        };
-        let value = ((avail >> i) & 1 != 0).then(|| values[i].wrapping_add(diff as u64));
-        (value, Some((k, diff)))
-    }
-
-    /// Trains the table with `pc`'s actual result, reading the queue
-    /// through `value_at` anchored the same way predictions for this
-    /// instruction are anchored.
-    ///
-    /// Thin compatibility wrapper: it materializes the closure reads into a
-    /// stack window and delegates to the batched
-    /// [`update_from_window`](Self::update_from_window). Callers that
-    /// already hold a [`GlobalValueQueue`](crate::GlobalValueQueue) should
-    /// read it once via
-    /// [`window`](crate::GlobalValueQueue::window)/
-    /// [`window_from`](crate::GlobalValueQueue::window_from) and call the
-    /// batched entry point directly.
-    pub fn update_with(&mut self, pc: u64, actual: u64, value_at: impl Fn(usize) -> Option<u64>) {
-        let order = self.order;
-        let e = self.table.entry_shared(pc);
-        // Same tiered policy as [`update_entry`], with the closure read
-        // fused into each tier so the fast path makes a single pass: the
-        // hysteresis re-check reads one distance, and while it holds (or
-        // the entry is fresh) each lane is read and stored directly —
-        // never materialized into a window first.
-        let keep = match e.distance {
-            Some(k) if e.seen => value_at(usize::from(k))
-                .is_some_and(|v| actual.wrapping_sub(v) as i64 == e.diffs[usize::from(k) - 1]),
-            _ => false,
-        };
-        if keep || !e.seen {
-            for (i, d) in e.diffs[..order].iter_mut().enumerate() {
-                if let Some(v) = value_at(i + 1) {
-                    *d = actual.wrapping_sub(v) as i64;
-                }
-            }
-        } else {
-            // Broken selection: materialize the window and run the full
-            // matching kernel, as the batched entry point would.
-            let mut avail: u64 = 0;
-            for (i, lane) in self.scratch[..order].iter_mut().enumerate() {
-                if let Some(v) = value_at(i + 1) {
-                    *lane = v;
-                    avail |= 1 << i;
-                }
-            }
-            let mask = match_and_store(&mut e.diffs, &self.scratch, actual, avail, order);
-            if mask != 0 {
-                e.distance = Some(mask.trailing_zeros() as u16 + 1);
-            }
-        }
-        e.order = order as u16;
-        e.seen = true;
-    }
-
-    /// The batched per-completion hot path: trains the table from a queue
-    /// window read in one pass (`values[k - 1]` = value at distance `k`,
-    /// `avail` bit `k - 1` = that lane is resolved).
+    /// The per-completion hot path: trains the table with `pc`'s actual
+    /// result from a queue window read in one pass (`values[k - 1]` = value
+    /// at distance `k`, `avail` bit `k - 1` = that lane is resolved), as
+    /// [`GlobalValueQueue::window`](crate::GlobalValueQueue::window) /
+    /// [`window_from`](crate::GlobalValueQueue::window_from) produce it,
+    /// anchored the same way predictions for this instruction are anchored.
     ///
     /// Lanes without their `avail` bit may carry any value — they are
     /// masked out of both the match and the store (an unavailable slot
@@ -382,6 +247,14 @@ impl GDiffCore {
     /// not erase learned state). Availability bits at or beyond the core's
     /// order are ignored, which is what lets a wider queue share one
     /// `MAX_ORDER` window buffer. No heap allocation ever happens here.
+    ///
+    /// Hysteresis runs first: while the selected distance keeps matching,
+    /// no other lane's match can change the selection, so the whole
+    /// compare-mask is dead — one subtract-and-compare decides, and the
+    /// update collapses to the plain `store_diffs` sweep. Only a broken
+    /// (or absent) selection pays for the full matching kernel plus
+    /// smallest-match selection; when nothing matches there either, the
+    /// selection is left unchanged, per the paper.
     #[inline]
     pub fn update_from_window(
         &mut self,
@@ -390,8 +263,26 @@ impl GDiffCore {
         values: &[u64; MAX_ORDER],
         avail: u64,
     ) {
+        let order = self.order;
         let e = self.table.entry_shared(pc);
-        update_entry(e, self.order, actual, values, avail);
+        let avail = avail & lane_mask(order);
+        let keep = match e.distance {
+            Some(k) if e.seen => {
+                let i = usize::from(k) - 1;
+                (avail >> i) & 1 != 0 && actual.wrapping_sub(values[i]) as i64 == e.diffs[i]
+            }
+            _ => false,
+        };
+        if keep || !e.seen {
+            store_diffs(&mut e.diffs, values, actual, avail, order);
+        } else {
+            let mask = match_and_store(&mut e.diffs, values, actual, avail, order);
+            if mask != 0 {
+                e.distance = Some(mask.trailing_zeros() as u16 + 1);
+            }
+        }
+        e.order = order as u16;
+        e.seen = true;
     }
 
     /// The table entry for `pc`, if one exists (read-only; for tests,
@@ -435,27 +326,38 @@ mod tests {
         move |k| values.get(k - 1).copied()
     }
 
+    /// Packs a slice into the window form (`values[0]` is distance 1, every
+    /// listed slot available) and trains pc 0 with `actual` against it.
+    fn update(c: &mut GDiffCore, actual: u64, values: &[u64]) {
+        let mut w = [0u64; MAX_ORDER];
+        w[..values.len()].copy_from_slice(values);
+        c.update_from_window(0, actual, &w, lane_mask(values.len()));
+    }
+
     #[test]
     fn learns_distance_after_two_productions() {
         let mut c = GDiffCore::new(Capacity::Unbounded, 4);
         // First production: actual 5, queue [9, 1, 7]: diffs [-4, 4, -2].
-        c.update_with(0, 5, q(&[9, 1, 7]));
+        update(&mut c, 5, &[9, 1, 7]);
         assert_eq!(c.entry(0).unwrap().distance(), None);
         // Second production: actual 12, queue [3, 8, 2]: diffs [9, 4, 10].
         // Distance 2 repeats with diff 4.
-        c.update_with(0, 12, q(&[3, 8, 2]));
+        update(&mut c, 12, &[3, 8, 2]);
         assert_eq!(c.entry(0).unwrap().distance(), Some(2));
         assert_eq!(c.entry(0).unwrap().diff(2), Some(4));
-        // Prediction: queue [6, 3, 1] -> 3 + 4 = 7.
-        assert_eq!(c.predict_with(0, q(&[6, 3, 1])), Some(7));
+        // Prediction: queue [6, 3, 1] -> 3 + 4 = 7, tapped at (k=2, diff 4).
+        assert_eq!(
+            c.predict_with_tap(0, q(&[6, 3, 1])),
+            (Some(7), Some((2, 4)))
+        );
     }
 
     #[test]
     fn no_prediction_before_distance_selected() {
         let mut c = GDiffCore::new(Capacity::Unbounded, 4);
-        assert_eq!(c.predict_with(0, q(&[1, 2, 3, 4])), None);
-        c.update_with(0, 5, q(&[1, 2, 3, 4]));
-        assert_eq!(c.predict_with(0, q(&[1, 2, 3, 4])), None);
+        assert_eq!(c.predict_with_tap(0, q(&[1, 2, 3, 4])), (None, None));
+        update(&mut c, 5, &[1, 2, 3, 4]);
+        assert_eq!(c.predict_with_tap(0, q(&[1, 2, 3, 4])), (None, None));
     }
 
     #[test]
@@ -464,25 +366,25 @@ mod tests {
         // Establish distance 3 with diff 0 (value equality), while distance
         // 1 also happens to repeat. Smallest-match would pick 1; once 3 is
         // selected it must stick while it keeps matching.
-        c.update_with(0, 5, q(&[5, 9, 5, 2]));
-        c.update_with(0, 6, q(&[6, 1, 6, 3]));
+        update(&mut c, 5, &[5, 9, 5, 2]);
+        update(&mut c, 6, &[6, 1, 6, 3]);
         assert_eq!(c.entry(0).unwrap().distance(), Some(1)); // first match: smallest
                                                              // Now break distances 1/2/4 but keep distance 3 matching (diff 0).
-        c.update_with(0, 7, q(&[4, 9, 7, 8]));
+        update(&mut c, 7, &[4, 9, 7, 8]);
         // dist1 diff: 3 (was 0) no match; dist3 diff: 0 == stored 0 -> match.
         assert_eq!(c.entry(0).unwrap().distance(), Some(3));
         // And while 3 keeps matching, it stays selected even if 1 matches too.
-        c.update_with(0, 9, q(&[6, 5, 9, 1])); // dist1 diff 3 (matches stored 3), dist3 diff 0
+        update(&mut c, 9, &[6, 5, 9, 1]); // dist1 diff 3 (matches stored 3), dist3 diff 0
         assert_eq!(c.entry(0).unwrap().distance(), Some(3));
     }
 
     #[test]
     fn no_match_keeps_distance_but_stores_diffs() {
         let mut c = GDiffCore::new(Capacity::Unbounded, 2);
-        c.update_with(0, 10, q(&[4, 6])); // diffs [6, 4]
-        c.update_with(0, 20, q(&[14, 2])); // diffs [6, 18] -> distance 1
+        update(&mut c, 10, &[4, 6]); // diffs [6, 4]
+        update(&mut c, 20, &[14, 2]); // diffs [6, 18] -> distance 1
         assert_eq!(c.entry(0).unwrap().distance(), Some(1));
-        c.update_with(0, 30, q(&[1, 2])); // diffs [29, 28]: no match
+        update(&mut c, 30, &[1, 2]); // diffs [29, 28]: no match
         let e = c.entry(0).unwrap();
         assert_eq!(
             e.distance(),
@@ -495,9 +397,9 @@ mod tests {
     #[test]
     fn unavailable_slots_do_not_erase_diffs() {
         let mut c = GDiffCore::new(Capacity::Unbounded, 2);
-        c.update_with(0, 10, q(&[4, 6]));
+        update(&mut c, 10, &[4, 6]);
         // Distance-2 slot unavailable this time; its stored diff survives.
-        c.update_with(0, 20, |k| if k == 1 { Some(14) } else { None });
+        update(&mut c, 20, &[14]);
         assert_eq!(c.entry(0).unwrap().diff(2), Some(4));
         assert_eq!(c.entry(0).unwrap().distance(), Some(1));
     }
@@ -505,19 +407,29 @@ mod tests {
     #[test]
     fn prediction_requires_live_slot() {
         let mut c = GDiffCore::new(Capacity::Unbounded, 2);
-        c.update_with(0, 10, q(&[4, 6]));
-        c.update_with(0, 20, q(&[14, 2]));
-        assert_eq!(c.predict_with(0, |_| None), None);
+        update(&mut c, 10, &[4, 6]);
+        update(&mut c, 20, &[14, 2]);
+        assert_eq!(c.predict_with_tap(0, |_| None).0, None);
+    }
+
+    #[test]
+    fn unavailable_selected_slot_still_taps() {
+        let mut c = GDiffCore::new(Capacity::Unbounded, 4);
+        update(&mut c, 5, &[9, 1, 7]);
+        update(&mut c, 12, &[3, 8, 2]);
+        // Selected distance 2 unavailable: no value, provenance still taps.
+        let read = |k: usize| (k != 2).then_some(6);
+        assert_eq!(c.predict_with_tap(0, read), (None, Some((2, 4))));
     }
 
     #[test]
     fn wrapping_differences_are_handled() {
         let mut c = GDiffCore::new(Capacity::Unbounded, 1);
         // actual is smaller than the queue value: negative diff via wrap.
-        c.update_with(0, 5, q(&[u64::MAX]));
-        c.update_with(0, 7, q(&[1])); // diff 6 both times
+        update(&mut c, 5, &[u64::MAX]);
+        update(&mut c, 7, &[1]); // diff 6 both times
         assert_eq!(c.entry(0).unwrap().distance(), Some(1));
-        assert_eq!(c.predict_with(0, q(&[10])), Some(16));
+        assert_eq!(c.predict_with_tap(0, q(&[10])).0, Some(16));
     }
 
     #[test]
@@ -535,7 +447,7 @@ mod tests {
     #[test]
     fn diff_beyond_order_is_none() {
         let mut c = GDiffCore::new(Capacity::Unbounded, 2);
-        c.update_with(0, 10, q(&[4, 6]));
+        update(&mut c, 10, &[4, 6]);
         let e = c.entry(0).unwrap();
         assert_eq!(e.diff(2), Some(4));
         assert_eq!(e.diff(3), None, "beyond the core's order");
@@ -546,63 +458,11 @@ mod tests {
     fn max_order_core_works_end_to_end() {
         let mut c = GDiffCore::new(Capacity::Unbounded, MAX_ORDER);
         let vals: Vec<u64> = (0..MAX_ORDER as u64).collect();
-        c.update_with(0, 100, q(&vals));
-        c.update_with(0, 200, q(&vals.iter().map(|v| v + 100).collect::<Vec<_>>()));
+        update(&mut c, 100, &vals);
+        let next: Vec<u64> = vals.iter().map(|v| v + 100).collect();
+        update(&mut c, 200, &next);
         // Every distance repeats; smallest wins.
         assert_eq!(c.entry(0).unwrap().distance(), Some(1));
-    }
-
-    /// Packs a slice of per-distance options into the window form.
-    fn win(values: &[Option<u64>]) -> ([u64; MAX_ORDER], u64) {
-        let mut w = [0u64; MAX_ORDER];
-        let mut avail = 0u64;
-        for (i, v) in values.iter().enumerate() {
-            if let Some(v) = v {
-                w[i] = *v;
-                avail |= 1 << i;
-            }
-        }
-        (w, avail)
-    }
-
-    #[test]
-    fn window_and_closure_updates_are_identical() {
-        let mut a = GDiffCore::new(Capacity::Unbounded, 4);
-        let mut b = GDiffCore::new(Capacity::Unbounded, 4);
-        let steps: &[(u64, [Option<u64>; 4])] = &[
-            (5, [Some(9), None, Some(7), Some(2)]),
-            (12, [Some(3), Some(8), None, Some(1)]),
-            (12, [None, Some(8), Some(4), Some(1)]),
-            (30, [Some(1), Some(26), Some(4), None]),
-        ];
-        for &(actual, vals) in steps {
-            a.update_with(0, actual, |k| vals[k - 1]);
-            let (w, avail) = win(&vals);
-            b.update_from_window(0, actual, &w, avail);
-            let (ea, eb) = (a.entry(0).unwrap(), b.entry(0).unwrap());
-            assert_eq!(ea.distance(), eb.distance());
-            for k in 1..=4 {
-                assert_eq!(ea.diff(k), eb.diff(k), "k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn window_predict_matches_closure_predict() {
-        let mut c = GDiffCore::new(Capacity::Unbounded, 4);
-        c.update_with(0, 5, q(&[9, 1, 7]));
-        c.update_with(0, 12, q(&[3, 8, 2]));
-        let vals = [Some(6), Some(3), Some(1), None];
-        let (w, avail) = win(&vals);
-        assert_eq!(c.predict_from_window(0, &w, avail), Some(7));
-        assert_eq!(
-            c.predict_from_window_tap(0, &w, avail),
-            c.predict_with_tap(0, |k| vals[k - 1])
-        );
-        // Selected distance unavailable: no value, provenance still taps.
-        let (value, tap) = c.predict_from_window_tap(0, &w, avail & !0b10);
-        assert_eq!(value, None);
-        assert_eq!(tap, Some((2, 4)));
     }
 
     #[test]
@@ -620,7 +480,7 @@ mod tests {
     #[test]
     fn garbage_in_masked_lanes_is_harmless() {
         let mut c = GDiffCore::new(Capacity::Unbounded, 4);
-        c.update_with(0, 10, q(&[4, 6, 2, 9]));
+        update(&mut c, 10, &[4, 6, 2, 9]);
         // Lane 0 (distance 1) is unavailable but carries a value that
         // *would* match its stored diff of 6; only lanes 1 and 3 are live.
         let mut w = [0u64; MAX_ORDER];

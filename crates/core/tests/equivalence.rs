@@ -1,9 +1,7 @@
 //! Equivalence suite: the vectorized hot path against the scalar reference.
 //!
-//! Three layers are pinned bit-for-bit:
+//! Two layers are pinned bit-for-bit:
 //!
-//! * [`GDiffCore::update_from_window`] against the closure-based
-//!   [`GDiffCore::update_with`] (same core, two entry points);
 //! * [`GDiffCore`] against [`ReferenceCore`], the retained pre-vectorization
 //!   scalar scan, under random update/predict interleavings including
 //!   partial availability masks, wrapping diffs, and bounded-table aliasing;
@@ -69,14 +67,6 @@ fn assert_cores_agree(
     assert_eq!(vec_value, ref_value, "prediction for pc {pc:#x}");
     assert_eq!(vec_tap, ref_tap, "tap for pc {pc:#x}");
 
-    // The batched predict agrees with both closure paths.
-    let (window, avail) = pack(slots);
-    assert_eq!(
-        vec_core.predict_from_window(pc, &window, avail),
-        ref_value,
-        "window prediction for pc {pc:#x}"
-    );
-
     let vec_distance = vec_core.entry(pc).and_then(|e| e.distance());
     assert_eq!(vec_distance, ref_core.distance(pc));
     for k in 1..=order {
@@ -120,28 +110,6 @@ proptest! {
             vec_core.update_from_window(step.0, step.1, &window, avail);
             let read = |k: usize| slots.get(k - 1).copied().flatten();
             ref_core.update_with(step.0, step.1, read);
-        }
-    }
-
-    /// The closure-based `update_with` wrapper and `update_from_window`
-    /// leave a core in an identical state, step by step.
-    #[test]
-    fn closure_and_window_updates_are_interchangeable(order in 1usize..65, steps in steps()) {
-        let mut by_closure = GDiffCore::new(Capacity::Unbounded, order);
-        let mut by_window = GDiffCore::new(Capacity::Unbounded, order);
-        for step in &steps {
-            let slots = slots_of(step, order);
-            let read = |k: usize| slots.get(k - 1).copied().flatten();
-            by_closure.update_with(step.0, step.1, read);
-            let (window, avail) = pack(&slots);
-            by_window.update_from_window(step.0, step.1, &window, avail);
-
-            let a = by_closure.entry(step.0).expect("updated");
-            let b = by_window.entry(step.0).expect("updated");
-            prop_assert_eq!(a.distance(), b.distance());
-            for k in 1..=order {
-                prop_assert_eq!(a.diff(k), b.diff(k), "diff at k={}", k);
-            }
         }
     }
 

@@ -1,6 +1,6 @@
 //! Property-based tests for the gDiff core invariants.
 
-use gdiff::{GDiffCore, GDiffPredictor, GlobalValueQueue, HgvqPredictor, SgvqPredictor};
+use gdiff::{GDiffCore, GDiffPredictor, GlobalValueQueue, HgvqPredictor, SgvqPredictor, MAX_ORDER};
 use predictors::{Capacity, ValuePredictor};
 use proptest::prelude::*;
 
@@ -79,16 +79,18 @@ proptest! {
     }
 
     /// The core never panics and never predicts without a learned
-    /// distance, whatever the value stream.
+    /// distance, whatever the value stream. It is driven the way the
+    /// predictors drive it: a closure read at predict, a queue window at
+    /// update.
     #[test]
     fn core_is_total(updates in prop::collection::vec((0u64..64, any::<u64>()), 0..300)) {
         let mut core = GDiffCore::new(Capacity::Entries(64), 8);
-        let mut history: Vec<u64> = Vec::new();
+        let mut queue = GlobalValueQueue::new(8);
+        let mut window = [0u64; MAX_ORDER];
         for (pc, v) in updates {
             let pc = pc * 4;
-            let h = history.clone();
-            let read = |k: usize| h.len().checked_sub(k).map(|i| h[i]);
-            if let Some(prediction) = core.predict_with(pc, read) {
+            let read = |k: usize| queue.back(k);
+            if let (Some(prediction), _) = core.predict_with_tap(pc, read) {
                 // A prediction implies a learned distance and stored diff.
                 let e = core.entry(pc).expect("entry exists after prediction");
                 let k = e.distance().expect("distance learned");
@@ -97,8 +99,9 @@ proptest! {
                     read(k).unwrap().wrapping_add(e.diff(k).unwrap() as u64)
                 );
             }
-            core.update_with(pc, v, read);
-            history.push(v);
+            let avail = queue.window(&mut window);
+            core.update_from_window(pc, v, &window, avail);
+            queue.push(v);
         }
     }
 

@@ -34,7 +34,6 @@ pub mod benchdiff;
 pub mod cells;
 pub mod explain;
 pub mod grid;
-pub mod hotpath;
 pub mod pipe;
 pub mod profile;
 pub mod record;
@@ -48,7 +47,6 @@ pub use addr::{fig18, fig18_bench, fig18_on, Fig18Row};
 pub use benchdiff::{diff_reports, DiffReport, DiffRow, DEFAULT_THRESHOLD_PCT};
 pub use explain::{explain_cell, explain_plan, ExplainCell, EXPLAIN_EXPERIMENTS};
 pub use grid::{GridCell, GridSpec};
-pub use hotpath::{hotpath_json, hotpath_text, measure_hotpath, HotpathPoint, HOTPATH_ORDERS};
 pub use pipe::{
     ablate_confidence, ablate_confidence_on, ablate_confidence_point, ablate_confidence_thresholds,
     ablate_depth, ablate_depth_on, ablate_depth_point, ablate_depth_points, ablate_filler,

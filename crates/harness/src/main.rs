@@ -78,8 +78,6 @@ struct Options {
     live_metrics: Option<String>,
     /// `--live-interval-ms <n>`: snapshot period for `--live-metrics`.
     live_interval_ms: u64,
-    /// `--hotpath-bench`: measure the update hot path and report it.
-    hotpath_bench: bool,
     /// `--log <path>`: structured journal destination (live-only).
     log: Option<String>,
     /// `--log-level <level>`: minimum journal level (default info).
@@ -99,7 +97,6 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
         timeline: None,
         live_metrics: None,
         live_interval_ms: 250,
-        hotpath_bench: false,
         log: None,
         log_level: obs::log::Level::Info,
         experiments: Vec::new(),
@@ -129,14 +126,7 @@ fn parse_args(args: Vec<String>) -> Result<Options, String> {
                         .ok_or_else(|| format!("{a} needs a value (a path or -)"))?,
                 )
             }
-            "--live-interval-ms" => {
-                let n: u64 = parse_value(&a, it.next())?;
-                if n == 0 {
-                    return Err(format!("{a}: interval must be at least 1 ms"));
-                }
-                opts.live_interval_ms = n;
-            }
-            "--hotpath-bench" => opts.hotpath_bench = true,
+            "--live-interval-ms" => opts.live_interval_ms = parse_interval_ms(&a, it.next())?,
             "--log" => {
                 opts.log = Some(
                     it.next()
@@ -175,6 +165,14 @@ fn parse_trace_last(flag: &str, value: Option<String>) -> Result<usize, String> 
     let n: usize = parse_value(flag, value)?;
     if n == 0 {
         return Err(format!("{flag}: event count must be at least 1"));
+    }
+    Ok(n)
+}
+
+fn parse_interval_ms(flag: &str, value: Option<String>) -> Result<u64, String> {
+    let n: u64 = parse_value(flag, value)?;
+    if n == 0 {
+        return Err(format!("{flag}: interval must be at least 1 ms"));
     }
     Ok(n)
 }
@@ -293,7 +291,6 @@ fn main_run(args: Vec<String>) {
         timeline: opts.timeline,
         live_metrics: opts.live_metrics,
         live_interval_ms: opts.live_interval_ms,
-        hotpath: opts.hotpath_bench,
         log: opts.log,
         log_level: opts.log_level,
         sections: Vec::new(),
@@ -320,8 +317,6 @@ struct Execution<'a> {
     live_metrics: Option<String>,
     /// Snapshot period for `--live-metrics`.
     live_interval_ms: u64,
-    /// `--hotpath-bench`: append the update-path timing section.
-    hotpath: bool,
     /// `--log`: structured journal destination. Live-only: the tables,
     /// the `--json` report, and replay outputs are byte-identical with
     /// the journal on or off.
@@ -481,13 +476,6 @@ fn execute(x: Execution<'_>) {
             .with("cells", cells as u64),
     );
     report.add_section("metrics", master.to_json());
-    if x.hotpath {
-        // Timed in-process, outside `experiments`, so bench-diff gates
-        // never see machine-speed noise.
-        let points = harness::measure_hotpath();
-        out!("{}", harness::hotpath_text(&points));
-        report.add_section("hotpath", harness::hotpath_json(&points));
-    }
     for (name, section) in x.sections {
         report.add_section(&name, section);
     }
@@ -668,7 +656,6 @@ fn main_replay(args: Vec<String>) {
         timeline: None,
         live_metrics: None,
         live_interval_ms: 250,
-        hotpath: false,
         log,
         log_level,
         sections: vec![("tracefile".to_string(), registry.to_json())],
@@ -1197,7 +1184,7 @@ fn main_sweep(args: Vec<String>) {
                     None => usage_error("--live-metrics needs a value (a path or -)"),
                 })
             }
-            "--live-interval-ms" => match parse_value(&a, it.next()) {
+            "--live-interval-ms" => match parse_interval_ms(&a, it.next()) {
                 Ok(v) => live_interval_ms = v,
                 Err(m) => usage_error(&m),
             },
@@ -1406,7 +1393,7 @@ fn print_usage() {
         "usage: harness [--scale F] [--seed N] [--jobs N|-jN] [--json PATH|-]\n\
          \x20              [--trace-last N] [--timeline PATH]\n\
          \x20              [--live-metrics PATH|-] [--live-interval-ms N]\n\
-         \x20              [--hotpath-bench] [--log PATH] [--log-level L] <experiment>...\n\
+         \x20              [--log PATH] [--log-level L] <experiment>...\n\
          \x20      harness record --out FILE [--scale F] [--seed N] <experiment>...\n\
          \x20      harness replay FILE [--json PATH|-] [--trace-last N]\n\
          \x20              [--log PATH] [--log-level L]\n\
@@ -1441,9 +1428,6 @@ fn print_usage() {
          --live-metrics streams periodic delta-compressed NDJSON metric\n\
          snapshots while the run is going (- for stdout; tables move to\n\
          stderr); --live-interval-ms sets the period (default 250)\n\
-         --hotpath-bench times the gdiff update hot path (closure vs\n\
-         batched window) after the experiments and adds a `hotpath`\n\
-         section to the --json report\n\
          record captures the instruction streams the named experiments\n\
          consume into a chunked, CRC-checked binary container; replay\n\
          re-runs them from the capture with identical results (always\n\

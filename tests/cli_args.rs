@@ -30,6 +30,10 @@ fn assert_usage_error(args: &[&str], needle: &str) {
 #[test]
 fn unknown_long_flag_is_rejected() {
     assert_usage_error(&["--frobnicate", "fig1"], "unknown option: --frobnicate");
+    assert_usage_error(
+        &["all", "--hotpath-bench"],
+        "unknown option: --hotpath-bench",
+    );
 }
 
 #[test]
@@ -258,6 +262,17 @@ fn sweep_args_are_validated() {
     assert_usage_error(
         &["sweep", "--grid", "order=4", "--unknown"],
         "unknown sweep option",
+    );
+    assert_usage_error(
+        &[
+            "sweep",
+            "--grid",
+            "order=4",
+            "--dry-run",
+            "--live-interval-ms",
+            "0",
+        ],
+        "interval must be at least 1 ms",
     );
 }
 
