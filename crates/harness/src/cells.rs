@@ -2,7 +2,7 @@
 //!
 //! Every multi-benchmark experiment fans out into one cell per benchmark
 //! (or per sweep point); the plan's assembly step collects the cell rows in
-//! order and hands them to the matching [`render`](crate::render) function.
+//! order and hands them to the matching [`render`] function.
 //! Single-measurement experiments (`fig1`, `fig12`) are one-cell plans, so
 //! the scheduler treats every experiment uniformly.
 

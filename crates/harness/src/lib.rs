@@ -32,6 +32,7 @@
 pub mod addr;
 pub mod benchdiff;
 pub mod cells;
+pub mod cli;
 pub mod explain;
 pub mod grid;
 pub mod pipe;
@@ -42,6 +43,7 @@ pub mod report;
 pub mod sched;
 pub mod serve_cli;
 pub mod sweep;
+pub mod taps;
 
 pub use addr::{fig18, fig18_bench, fig18_on, Fig18Row};
 pub use benchdiff::{diff_reports, DiffReport, DiffRow, DEFAULT_THRESHOLD_PCT};

@@ -3,14 +3,15 @@
 //! Experiments: fig1 fig8 fig9 fig10 fig12 fig13 fig16 fig18a fig18b
 //! table2 fig19 ablate-queue ablate-filler ablate-confidence all
 //!
-//! Options: `--scale <f>` multiplies run sizes (default 1.0),
-//! `--seed <n>` sets the workload seed (default 42),
+//! Options: `--scale <f>` multiplies run sizes (default 1.0; finite and
+//! above 0), `--seed <n>` sets the workload seed (default 42),
 //! `--jobs <n>` / `-j<n>` sets the worker count (default: all cores);
 //! output is byte-identical for every worker count,
 //! `--json <path|->` writes a machine-readable run report,
 //! `--trace-last <n>` records pipeline trace events and dumps the last n,
 //! `--timeline <path>` exports a Chrome trace-event timeline of the run,
 //! `--live-metrics <path|->` streams periodic NDJSON metric snapshots.
+//! At most one of `--json` and `--live-metrics` may be `-` (stdout).
 //!
 //! Subcommands: `record --out <file> <experiment>...` captures the
 //! instruction streams the named experiments consume into a binary trace
@@ -25,21 +26,30 @@
 //! `--selftest`); `serve-client` streams a trace or synthesized benchmark
 //! to a running daemon and prints the returned report; `logs` reads and
 //! pretty-prints the structured binary journal that `--log` writes.
+//!
+//! Every subcommand's command line is one [`Command`] flag table run by
+//! the shared [`harness::cli`] parser; a flag shared by several
+//! subcommands (`--scale`, `--jobs`, `--log`, ...) is defined once below.
+//! [`SUBCOMMANDS`] dispatches on the first argument, and `main` alone
+//! turns a [`Usage`] into usage text and exit 0 (`--help`) or exit 2.
 
 use harness::cells::{plan_for, ALL_EXPERIMENTS};
+use harness::cli::{self, at_least_1, number, Command, Flag, Positionals, Usage};
 use harness::record::{open_replay, record};
 use harness::report::{RunReport, Table};
-use harness::sched::{default_jobs, run_plans, run_plans_live};
+use harness::sched::{default_jobs, run_plans, run_plans_live, ExperimentOutput};
 use harness::serve_cli;
+use harness::taps::{TapOpts, Taps};
 use harness::RunParams;
 use obs::trace::tracer;
-use obs::{JsonValue, Registry, Sampler, SharedRegistry};
+use obs::{JsonValue, Registry};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 use workloads::{SyntheticSource, TraceSource};
 
-/// Set when the JSON report goes to stdout (`--json -`): the human-readable
-/// tables move to stderr so stdout stays parseable.
+/// Set when a report or the live stream goes to stdout (see
+/// `route_tables`): the human-readable tables move to stderr so stdout
+/// stays parseable.
 static TABLES_TO_STDERR: AtomicBool = AtomicBool::new(false);
 
 macro_rules! out {
@@ -52,249 +62,349 @@ macro_rules! out {
     };
 }
 
-macro_rules! outln {
-    ($($t:tt)*) => {
-        if TABLES_TO_STDERR.load(Ordering::Relaxed) {
-            eprintln!($($t)*)
-        } else {
-            println!($($t)*)
-        }
-    };
-}
-
-/// Command-line options, parsed without panicking.
-struct Options {
+/// The options of every subcommand in this file, set by the flag tables
+/// below. Each subcommand's table admits only its own flags; the rest keep
+/// their defaults.
+#[derive(Debug)]
+struct Opts {
     scale: f64,
     seed: u64,
-    /// `--jobs <n>` / `-j<n>`; `None` means one worker per core.
+    /// `None` means the subcommand's default worker count.
     jobs: Option<usize>,
-    /// `--json <path>`; `-` means stdout.
     json: Option<String>,
-    /// `--trace-last <n>`: ring capacity and dump size.
+    out: Option<String>,
     trace_last: Option<usize>,
-    /// `--timeline <path>`: Chrome trace-event JSON destination.
-    timeline: Option<String>,
-    /// `--live-metrics <path>`; `-` means stdout (tables move to stderr).
-    live_metrics: Option<String>,
-    /// `--live-interval-ms <n>`: snapshot period for `--live-metrics`.
-    live_interval_ms: u64,
-    /// `--log <path>`: structured journal destination (live-only).
-    log: Option<String>,
-    /// `--log-level <level>`: minimum journal level (default info).
-    log_level: obs::log::Level,
-    experiments: Vec<String>,
+    taps: TapOpts,
+    top: usize,
+    dump_provenance: bool,
+    threshold: f64,
+    full: bool,
+    /// logs `--level`, `--target`, `--follow`, and `--json` (one JSON
+    /// object per record).
+    level: obs::log::Level,
+    target: Option<String>,
+    follow: bool,
+    json_lines: bool,
+    grid: Option<String>,
+    ckpt: Option<String>,
+    /// sweep `--workers`: worker processes.
+    workers: usize,
+    pareto: bool,
+    dry_run: bool,
+    fresh: bool,
+    /// sweep-worker `--worker K --workers W`: this worker's shard and the
+    /// shard count.
+    worker: Option<u32>,
+    shards: Option<u32>,
 }
 
-/// Parses the argument list. On error, returns the message to print before
-/// usage + exit 2.
-fn parse_args(args: Vec<String>) -> Result<Options, String> {
-    let mut opts = Options {
-        scale: 1.0,
-        seed: 42,
-        jobs: None,
-        json: None,
-        trace_last: None,
-        timeline: None,
-        live_metrics: None,
-        live_interval_ms: 250,
-        log: None,
-        log_level: obs::log::Level::Info,
-        experiments: Vec::new(),
-    };
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => opts.scale = parse_value(&a, it.next())?,
-            "--seed" => opts.seed = parse_value(&a, it.next())?,
-            "--trace-last" => opts.trace_last = Some(parse_trace_last(&a, it.next())?),
-            "--jobs" | "-j" => opts.jobs = Some(parse_jobs(&a, it.next())?),
-            "--json" => {
-                opts.json = Some(
-                    it.next()
-                        .ok_or_else(|| format!("{a} needs a value (a path or -)"))?,
-                )
-            }
-            "--timeline" => {
-                opts.timeline = Some(
-                    it.next()
-                        .ok_or_else(|| format!("{a} needs a value (a file path)"))?,
-                )
-            }
-            "--live-metrics" => {
-                opts.live_metrics = Some(
-                    it.next()
-                        .ok_or_else(|| format!("{a} needs a value (a path or -)"))?,
-                )
-            }
-            "--live-interval-ms" => opts.live_interval_ms = parse_interval_ms(&a, it.next())?,
-            "--log" => {
-                opts.log = Some(
-                    it.next()
-                        .ok_or_else(|| format!("{a} needs a value (a journal path)"))?,
-                )
-            }
-            "--log-level" => opts.log_level = parse_level(&a, it.next())?,
-            "--help" | "-h" => return Err(String::new()),
-            other if other.starts_with("--") => return Err(format!("unknown option: {other}")),
-            // Attached worker count: -j4.
-            other if other.starts_with("-j") => {
-                opts.jobs = Some(parse_jobs("-j", Some(other[2..].to_string()))?)
-            }
-            other if other.starts_with('-') => return Err(format!("unknown option: {other}")),
-            other => opts.experiments.push(other.to_string()),
+impl Default for Opts {
+    fn default() -> Self {
+        Opts {
+            scale: 1.0,
+            seed: 42,
+            jobs: None,
+            json: None,
+            out: None,
+            trace_last: None,
+            taps: TapOpts::default(),
+            top: harness::explain::DEFAULT_TOP,
+            dump_provenance: false,
+            threshold: harness::DEFAULT_THRESHOLD_PCT,
+            full: false,
+            level: obs::log::Level::Debug,
+            target: None,
+            follow: false,
+            json_lines: false,
+            grid: None,
+            ckpt: None,
+            workers: 1,
+            pareto: false,
+            dry_run: false,
+            fresh: false,
+            worker: None,
+            shards: None,
         }
     }
-    Ok(opts)
 }
 
-fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
-    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
-    v.parse()
-        .map_err(|_| format!("{flag}: invalid value '{v}'"))
-}
+const SCALE: Flag<Opts> = Flag::parse(&["--scale"], cli::SCALE_HINT, |o, f, v| {
+    cli::scale(f, v).map(|x| o.scale = x)
+});
+const SEED: Flag<Opts> = Flag::parse(&["--seed"], "an integer", |o, f, v| {
+    number(f, v).map(|n| o.seed = n)
+});
+const JOBS: Flag<Opts> = Flag::parse(&["--jobs", "-j"], "a worker count", |o, f, v| {
+    at_least_1(f, v, "worker count must be at least 1").map(|n| o.jobs = Some(n))
+});
+const JSON: Flag<Opts> = Flag::text(&["--json"], "a path or -", |o, v| o.json = Some(v));
+const OUT: Flag<Opts> = Flag::text(&["--out"], "a file path", |o, v| o.out = Some(v));
+const TRACE_LAST: Flag<Opts> = Flag::parse(&["--trace-last"], "an event count", |o, f, v| {
+    at_least_1(f, v, "event count must be at least 1").map(|n| o.trace_last = Some(n))
+});
+const TIMELINE: Flag<Opts> = Flag::text(&["--timeline"], "a file path", |o, v| {
+    o.taps.timeline = Some(v)
+});
+const LIVE_METRICS: Flag<Opts> = Flag::text(&["--live-metrics"], "a path or -", |o, v| {
+    o.taps.live_metrics = Some(v)
+});
+const LIVE_INTERVAL_MS: Flag<Opts> =
+    Flag::parse(&["--live-interval-ms"], "milliseconds", |o, f, v| {
+        at_least_1(f, v, "interval must be at least 1 ms").map(|n| o.taps.live_interval_ms = n)
+    });
+const LOG: Flag<Opts> = Flag::text(&["--log"], "a journal path", |o, v| {
+    o.taps.log = Some(v.into())
+});
+const LOG_LEVEL: Flag<Opts> = Flag::parse(&["--log-level"], cli::LEVEL_HINT, |o, f, v| {
+    cli::level(f, v).map(|l| o.taps.log_level = l)
+});
+const CKPT: Flag<Opts> = Flag::text(&["--ckpt"], "a directory", |o, v| o.ckpt = Some(v));
 
-fn parse_jobs(flag: &str, value: Option<String>) -> Result<usize, String> {
-    let n: usize = parse_value(flag, value)?;
-    if n == 0 {
-        return Err(format!("{flag}: worker count must be at least 1"));
-    }
-    Ok(n)
-}
+const RUN: Command<Opts> = Command {
+    name: "",
+    positionals: Positionals::Any,
+    flags: &[
+        SCALE,
+        SEED,
+        JOBS,
+        JSON,
+        TRACE_LAST,
+        TIMELINE,
+        LIVE_METRICS,
+        LIVE_INTERVAL_MS,
+        LOG,
+        LOG_LEVEL,
+    ],
+};
 
-fn parse_trace_last(flag: &str, value: Option<String>) -> Result<usize, String> {
-    let n: usize = parse_value(flag, value)?;
-    if n == 0 {
-        return Err(format!("{flag}: event count must be at least 1"));
-    }
-    Ok(n)
-}
+const RECORD: Command<Opts> = Command {
+    name: "record",
+    positionals: Positionals::Any,
+    flags: &[OUT, SCALE, SEED],
+};
 
-fn parse_interval_ms(flag: &str, value: Option<String>) -> Result<u64, String> {
-    let n: u64 = parse_value(flag, value)?;
-    if n == 0 {
-        return Err(format!("{flag}: interval must be at least 1 ms"));
-    }
-    Ok(n)
-}
+const REPLAY: Command<Opts> = Command {
+    name: "replay",
+    positionals: Positionals::Exactly(1, "replay needs a trace file"),
+    flags: &[JSON, TRACE_LAST, LOG, LOG_LEVEL],
+};
 
-fn parse_level(flag: &str, value: Option<String>) -> Result<obs::log::Level, String> {
-    serve_cli::parse_level(flag, value)
-}
+const CONVERT: Command<Opts> = Command {
+    name: "convert",
+    positionals: Positionals::Exactly(2, "convert takes exactly: convert IN OUT"),
+    flags: &[],
+};
+
+const EXPLAIN: Command<Opts> = Command {
+    name: "explain",
+    positionals: Positionals::Exactly(1, "explain needs an experiment (fig13 or fig16)"),
+    flags: &[
+        SCALE,
+        SEED,
+        JOBS,
+        JSON,
+        Flag::parse(&["--top"], "a row count", |o, f, v| {
+            number(f, v).map(|n| o.top = n)
+        }),
+        Flag::switch(&["--dump-provenance"], |o| o.dump_provenance = true),
+    ],
+};
+
+const EXPORT_METRICS: Command<Opts> = Command {
+    name: "export-metrics",
+    positionals: Positionals::Any,
+    flags: &[SCALE, SEED, JOBS, OUT],
+};
+
+const BENCH_DIFF: Command<Opts> = Command {
+    name: "bench-diff",
+    positionals: Positionals::Exactly(2, "bench-diff takes exactly: bench-diff OLD.json NEW.json"),
+    flags: &[
+        Flag::parse(&["--threshold"], "a percentage", |o, f, v| {
+            cli::finite(f, v, |x| x >= 0.0, "a finite, non-negative percentage")
+                .map(|x| o.threshold = x)
+        }),
+        Flag::switch(&["--full"], |o| o.full = true),
+    ],
+};
+
+const LOGS: Command<Opts> = Command {
+    name: "logs",
+    positionals: Positionals::Exactly(1, "logs needs a journal file"),
+    flags: &[
+        Flag::parse(&["--level"], cli::LEVEL_HINT, |o, f, v| {
+            cli::level(f, v).map(|l| o.level = l)
+        }),
+        Flag::text(&["--target"], "a target prefix", |o, v| o.target = Some(v)),
+        Flag::switch(&["--follow", "-f"], |o| o.follow = true),
+        Flag::switch(&["--json"], |o| o.json_lines = true),
+    ],
+};
+
+const SWEEP: Command<Opts> = Command {
+    name: "sweep",
+    positionals: Positionals::None,
+    flags: &[
+        Flag::text(&["--grid"], "a spec or @FILE", |o, v| o.grid = Some(v)),
+        CKPT,
+        Flag::parse(&["--workers"], "a process count", |o, f, v| {
+            at_least_1(f, v, "worker count must be at least 1").map(|n| o.workers = n)
+        }),
+        JOBS,
+        Flag::switch(&["--pareto"], |o| o.pareto = true),
+        Flag::switch(&["--dry-run"], |o| o.dry_run = true),
+        Flag::switch(&["--fresh"], |o| o.fresh = true),
+        Flag::text(&["--out"], "a path or -", |o, v| o.out = Some(v)),
+        SCALE,
+        SEED,
+        LOG,
+        LOG_LEVEL,
+        LIVE_METRICS,
+        LIVE_INTERVAL_MS,
+        TIMELINE,
+    ],
+};
+
+const SWEEP_WORKER: Command<Opts> = Command {
+    name: "sweep-worker",
+    positionals: Positionals::None,
+    flags: &[
+        CKPT,
+        Flag::parse(&["--worker"], "a shard index", |o, f, v| {
+            number(f, v).map(|n| o.worker = Some(n))
+        }),
+        Flag::parse(&["--workers"], "a shard count", |o, f, v| {
+            number(f, v).map(|n| o.shards = Some(n))
+        }),
+        JOBS,
+    ],
+};
+
+/// A subcommand's entry point: the arguments after its name.
+type Main = fn(Vec<String>) -> Result<(), Usage>;
+
+/// Subcommands by first argument; anything else is an experiment run.
+const SUBCOMMANDS: &[(&str, Main)] = &[
+    ("record", main_record),
+    ("replay", main_replay),
+    ("convert", main_convert),
+    ("explain", main_explain),
+    ("export-metrics", main_export_metrics),
+    ("bench-diff", main_bench_diff),
+    ("serve", main_serve),
+    ("serve-client", main_serve_client),
+    ("logs", main_logs),
+    ("sweep", main_sweep),
+    ("sweep-worker", main_sweep_worker),
+];
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("record") => {
+    let sub = SUBCOMMANDS
+        .iter()
+        .find(|(name, _)| args.first().is_some_and(|a| a == name));
+    let main: Main = match sub {
+        Some(&(_, main)) => {
             args.remove(0);
-            main_record(args)
+            main
         }
-        Some("replay") => {
-            args.remove(0);
-            main_replay(args)
+        None => main_run,
+    };
+    match main(args) {
+        Ok(()) => {}
+        Err(Usage::Help) => print_usage(),
+        Err(Usage::Error(msg)) => {
+            eprintln!("error: {msg}");
+            print_usage();
+            std::process::exit(2);
         }
-        Some("convert") => {
-            args.remove(0);
-            main_convert(args)
-        }
-        Some("explain") => {
-            args.remove(0);
-            main_explain(args)
-        }
-        Some("export-metrics") => {
-            args.remove(0);
-            main_export_metrics(args)
-        }
-        Some("bench-diff") => {
-            args.remove(0);
-            main_bench_diff(args)
-        }
-        Some("serve") => {
-            args.remove(0);
-            main_serve(args)
-        }
-        Some("serve-client") => {
-            args.remove(0);
-            main_serve_client(args)
-        }
-        Some("logs") => {
-            args.remove(0);
-            main_logs(args)
-        }
-        Some("sweep") => {
-            args.remove(0);
-            main_sweep(args)
-        }
-        Some("sweep-worker") => {
-            args.remove(0);
-            main_sweep_worker(args)
-        }
-        _ => main_run(args),
     }
 }
 
-fn usage_error(msg: &str) -> ! {
+/// Prints a runtime failure and exits 1.
+fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("error: {msg}");
-    print_usage();
-    std::process::exit(2);
+    std::process::exit(1)
+}
+
+/// Writes `text` to `dest`, or to stdout when `dest` is `-`.
+fn write_out(dest: &str, text: String) {
+    if dest == "-" {
+        println!("{text}");
+    } else if let Err(e) = std::fs::write(dest, text + "\n") {
+        fail(format!("cannot write {dest}: {e}"));
+    }
+}
+
+/// Moves the tables to stderr when the report (`report_flag`) or the
+/// live stream goes to stdout. Both at once would interleave JSON and
+/// NDJSON into one unparseable stream, so that is a usage error.
+fn route_tables(report_flag: &str, report: &Option<String>, taps: &TapOpts) -> Result<(), Usage> {
+    let report = report.as_deref() == Some("-");
+    let live = taps.live_metrics.as_deref() == Some("-");
+    if report && live {
+        return Err(format!(
+            "{report_flag} - and --live-metrics - both write to stdout; send one to a file"
+        )
+        .into());
+    }
+    if report || live {
+        TABLES_TO_STDERR.store(true, Ordering::Relaxed);
+    }
+    Ok(())
+}
+
+/// Prints an experiment's tables and its summed cell time.
+fn show(res: &ExperimentOutput) {
+    out!("{}", res.text);
+    eprintln!("[{} took {:.1}s]\n", res.name, res.busy.as_secs_f64());
+}
+
+/// `base` resized by `--scale` and seeded by `--seed`.
+fn sized(base: RunParams, o: &Opts) -> RunParams {
+    RunParams {
+        seed: o.seed,
+        ..base.scaled(o.scale)
+    }
 }
 
 /// Expands `all` and validates every experiment name up front so a typo
 /// late in the list doesn't discard an hour of completed experiments.
-fn select_experiments(named: &[String]) -> Vec<String> {
+fn select_experiments(named: &[String]) -> Result<Vec<String>, Usage> {
     if named.is_empty() {
-        usage_error("no experiment named");
+        return Err("no experiment named".into());
     }
     let selected: Vec<String> = if named.iter().any(|e| e == "all") {
         ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect()
     } else {
         named.to_vec()
     };
-    for exp in &selected {
-        if !ALL_EXPERIMENTS.contains(&exp.as_str()) {
-            usage_error(&format!("unknown experiment: {exp}"));
-        }
+    if let Some(exp) = selected
+        .iter()
+        .find(|e| !ALL_EXPERIMENTS.contains(&e.as_str()))
+    {
+        return Err(format!("unknown experiment: {exp}").into());
     }
-    selected
+    Ok(selected)
 }
 
-fn main_run(args: Vec<String>) {
-    let opts = match parse_args(args) {
-        Ok(o) => o,
-        Err(msg) => {
-            if msg.is_empty() {
-                // --help
-                print_usage();
-                return;
-            }
-            usage_error(&msg);
-        }
-    };
-    if opts.json.as_deref() == Some("-") || opts.live_metrics.as_deref() == Some("-") {
-        TABLES_TO_STDERR.store(true, Ordering::Relaxed);
-    }
-    let selected = select_experiments(&opts.experiments);
-    let mut profile = RunParams::profile_default().scaled(opts.scale);
-    let mut pipelinep = RunParams::pipeline_default().scaled(opts.scale);
-    profile.seed = opts.seed;
-    pipelinep.seed = opts.seed;
-    let source = SyntheticSource::new(opts.seed);
+fn main_run(args: Vec<String>) -> Result<(), Usage> {
+    let (o, named) = RUN.parse(args, Opts::default())?;
+    route_tables("--json", &o.json, &o.taps)?;
+    let selected = select_experiments(&named)?;
+    let source = SyntheticSource::new(o.seed);
     execute(Execution {
         source: &source,
         selected: &selected,
-        profile,
-        pipeline: pipelinep,
-        seed: opts.seed,
-        scale: opts.scale,
-        jobs: opts.jobs.unwrap_or_else(default_jobs),
-        json: opts.json,
-        trace_last: opts.trace_last,
-        timeline: opts.timeline,
-        live_metrics: opts.live_metrics,
-        live_interval_ms: opts.live_interval_ms,
-        log: opts.log,
-        log_level: opts.log_level,
+        profile: sized(RunParams::profile_default(), &o),
+        pipeline: sized(RunParams::pipeline_default(), &o),
+        seed: o.seed,
+        scale: o.scale,
+        jobs: o.jobs.unwrap_or_else(default_jobs),
+        opts: o,
         sections: Vec::new(),
     });
+    Ok(())
 }
 
 /// One experiment sweep: the instruction origin, what to run, and how to
@@ -309,42 +419,16 @@ struct Execution<'a> {
     scale: f64,
     /// Scheduler worker count (replay forces 1).
     jobs: usize,
-    json: Option<String>,
-    trace_last: Option<usize>,
-    /// `--timeline`: Chrome trace-event JSON destination.
-    timeline: Option<String>,
-    /// `--live-metrics`: NDJSON snapshot stream destination (`-`: stdout).
-    live_metrics: Option<String>,
-    /// Snapshot period for `--live-metrics`.
-    live_interval_ms: u64,
-    /// `--log`: structured journal destination. Live-only: the tables,
-    /// the `--json` report, and replay outputs are byte-identical with
-    /// the journal on or off.
-    log: Option<String>,
-    /// Minimum journal level for `--log`.
-    log_level: obs::log::Level,
+    /// `--json`, `--trace-last`, and the taps, which are live-only: the
+    /// tables, the report, and replay outputs are byte-identical with
+    /// every tap on or off.
+    opts: Opts,
     /// Extra report sections (e.g. replay's tracefile metrics).
     sections: Vec<(String, JsonValue)>,
 }
 
-/// Event capacity of the `--timeline` buffer: a full `all -j8` run emits
-/// a few hundred coarse events, so 64Ki leaves generous headroom while
-/// bounding a runaway run to ~10 MB of JSON.
-const TIMELINE_CAPACITY: usize = 64 * 1024;
-
-/// Snapshot ring size for `--live-metrics` (the stream itself is
-/// unbounded; the ring only backs the end-of-run summary counts).
-const LIVE_RING_CAP: usize = 1024;
-
 fn execute(x: Execution<'_>) {
-    let journal =
-        match serve_cli::enable_journal(x.log.as_deref().map(std::path::Path::new), x.log_level) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        };
+    let taps = Taps::start(&x.opts.taps).unwrap_or_else(|e| fail(e));
     obs::log::info(
         "harness.run",
         "run started",
@@ -355,36 +439,9 @@ fn execute(x: Execution<'_>) {
             ("scale", obs::log::Value::from(x.scale)),
         ],
     );
-    if let Some(n) = x.trace_last {
-        tracer().enable(n.max(1));
+    if let Some(n) = x.opts.trace_last {
+        tracer().enable(n);
     }
-    if x.timeline.is_some() {
-        obs::timeline::enable(TIMELINE_CAPACITY);
-        obs::timeline::set_thread_name("main");
-    }
-    // Live telemetry rides beside the deterministic outputs: workers merge
-    // finished cells into this shared registry in completion order, and the
-    // sampler streams delta snapshots; none of it feeds back into `master`.
-    let live = x.live_metrics.as_ref().map(|_| SharedRegistry::new());
-    let sampler = x.live_metrics.as_ref().map(|dest| {
-        let writer: Box<dyn std::io::Write + Send> = if dest == "-" {
-            Box::new(std::io::stdout())
-        } else {
-            match std::fs::File::create(dest) {
-                Ok(f) => Box::new(f),
-                Err(e) => {
-                    eprintln!("error: cannot write {dest}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        };
-        Sampler::start(
-            live.clone().expect("live registry exists"),
-            Duration::from_millis(x.live_interval_ms),
-            LIVE_RING_CAP,
-            Some(writer),
-        )
-    });
 
     let plans = x
         .selected
@@ -396,9 +453,9 @@ fn execute(x: Execution<'_>) {
     // Experiments fan out into per-benchmark cells across the workers, but
     // emission happens strictly in plan order, so the tables and the
     // `experiments` report section are byte-identical for any worker count.
-    let cells = run_plans_live(plans, x.jobs, &mut master, live.as_ref(), |res| {
-        out!("{}", res.text);
-        eprintln!("[{} took {:.1}s]\n", res.name, res.busy.as_secs_f64());
+    // Live telemetry rides beside them and never feeds back into `master`.
+    let cells = run_plans_live(plans, x.jobs, &mut master, taps.live(), |res| {
+        show(&res);
         obs::log::info(
             "harness.run",
             "experiment finished",
@@ -410,47 +467,7 @@ fn execute(x: Execution<'_>) {
         report.add_experiment(&res.name, res.json);
     });
 
-    // Timeline teardown happens before the sampler's final snapshot so a
-    // ring overflow surfaces in the live stream (`timeline.dropped_events`)
-    // as well as the journal — not just in a stderr afterthought.
-    if let Some(dest) = &x.timeline {
-        obs::timeline::disable();
-        let dropped = obs::timeline::dropped();
-        if dropped > 0 {
-            obs::log::warn(
-                "harness.timeline",
-                "timeline ring overflowed; events dropped",
-                &[("dropped", obs::log::Value::from(dropped))],
-            );
-            if let Some(live) = &live {
-                live.with(|r| {
-                    let g = r.gauge("timeline.dropped_events");
-                    r.set_gauge(g, dropped as f64);
-                });
-            }
-        }
-        let text = obs::timeline::export().to_json();
-        if let Err(e) = std::fs::write(dest, text + "\n") {
-            eprintln!("error: cannot write {dest}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "timeline: {} events ({dropped} dropped) -> {dest}",
-            obs::timeline::recorded(),
-        );
-    }
-    if let Some(sampler) = sampler {
-        let log = sampler.stop();
-        if !log.stream_ok {
-            eprintln!("warning: live-metrics stream write failed");
-        }
-        eprintln!(
-            "live-metrics: {} snapshots ({} beyond the ring)",
-            log.taken, log.dropped
-        );
-    }
-
-    if let Some(n) = x.trace_last {
+    if let Some(n) = x.opts.trace_last {
         tracer().disable();
         let events = tracer().last(n);
         eprintln!(
@@ -479,15 +496,8 @@ fn execute(x: Execution<'_>) {
     for (name, section) in x.sections {
         report.add_section(&name, section);
     }
-
-    if let Some(dest) = &x.json {
-        let text = report.finish().to_json_pretty();
-        if dest == "-" {
-            println!("{text}");
-        } else if let Err(e) = std::fs::write(dest, text + "\n") {
-            eprintln!("error: cannot write {dest}: {e}");
-            std::process::exit(1);
-        }
+    if let Some(dest) = &x.opts.json {
+        write_out(dest, report.finish().to_json_pretty());
     }
 
     obs::log::info(
@@ -495,145 +505,48 @@ fn execute(x: Execution<'_>) {
         "run finished",
         &[("cells", obs::log::Value::from(cells as u64))],
     );
-    if let Some(path) = journal {
-        let records = obs::log::recorded();
-        let write_errors = obs::log::disable();
-        eprintln!("journal: {records} records -> {}", path.display());
-        if write_errors > 0 {
-            eprintln!(
-                "warning: journal {}: {write_errors} write errors",
-                path.display()
-            );
-        }
-    }
+    taps.finish().unwrap_or_else(|e| fail(e));
 }
 
-fn main_record(args: Vec<String>) {
-    let mut out: Option<String> = None;
-    let mut scale = 1.0f64;
-    let mut seed = 42u64;
-    let mut experiments = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => {
-                out = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--out needs a value (a file path)"),
-                })
-            }
-            "--scale" => match parse_value(&a, it.next()) {
-                Ok(v) => scale = v,
-                Err(m) => usage_error(&m),
-            },
-            "--seed" => match parse_value(&a, it.next()) {
-                Ok(v) => seed = v,
-                Err(m) => usage_error(&m),
-            },
-            "--help" | "-h" => {
-                print_usage();
-                return;
-            }
-            other if other.starts_with('-') => {
-                usage_error(&format!("unknown record option: {other}"))
-            }
-            other => experiments.push(other.to_string()),
-        }
-    }
-    let Some(out) = out else {
-        usage_error("record needs --out FILE");
-    };
-    let selected = select_experiments(&experiments);
-    let mut profile = RunParams::profile_default().scaled(scale);
-    let mut pipelinep = RunParams::pipeline_default().scaled(scale);
-    profile.seed = seed;
-    pipelinep.seed = seed;
+fn main_record(args: Vec<String>) -> Result<(), Usage> {
+    let (o, named) = RECORD.parse(args, Opts::default())?;
+    let out = o.out.clone().ok_or("record needs --out FILE")?;
+    let selected = select_experiments(&named)?;
+    let profile = sized(RunParams::profile_default(), &o);
+    let pipelinep = sized(RunParams::pipeline_default(), &o);
 
     let mut registry = Registry::new();
-    let rep = match record(&out, &selected, profile, pipelinep, scale, &mut registry) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: cannot record {out}: {e}");
-            std::process::exit(1);
-        }
-    };
+    let rep = record(&out, &selected, profile, pipelinep, o.scale, &mut registry)
+        .unwrap_or_else(|e| fail(format!("cannot record {out}: {e}")));
     let mut t = Table::new(
-        format!("Recorded {out} (seed {seed}, scale {scale})"),
+        format!("Recorded {out} (seed {}, scale {})", o.seed, o.scale),
         &["benchmark", "instructions"],
     );
     for (bench, n) in &rep.per_bench {
         t.row(vec![bench.to_string(), n.to_string()]);
     }
     t.row(vec!["total".into(), rep.records.to_string()]);
-    out!("{}", t.render());
-    outln!(
+    print!("{}", t.render());
+    println!(
         "container: {} bytes ({:.2} bytes/inst, {:.1}x smaller than text)",
         rep.binary_bytes,
         rep.bytes_per_inst(),
         rep.compression_vs_text()
     );
-    outln!(
+    println!(
         "encode: {:.0} inst/s, {:.1} MiB/s",
-        rep.insts_per_sec,
-        rep.mib_per_sec
+        rep.insts_per_sec, rep.mib_per_sec
     );
+    Ok(())
 }
 
-fn main_replay(args: Vec<String>) {
-    let mut file: Option<String> = None;
-    let mut json: Option<String> = None;
-    let mut trace_last: Option<usize> = None;
-    let mut log: Option<String> = None;
-    let mut log_level = obs::log::Level::Info;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => {
-                json = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--json needs a value (a path or -)"),
-                })
-            }
-            "--trace-last" => match parse_trace_last(&a, it.next()) {
-                Ok(v) => trace_last = Some(v),
-                Err(m) => usage_error(&m),
-            },
-            "--log" => {
-                log = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--log needs a value (a journal path)"),
-                })
-            }
-            "--log-level" => match parse_level(&a, it.next()) {
-                Ok(v) => log_level = v,
-                Err(m) => usage_error(&m),
-            },
-            "--help" | "-h" => {
-                print_usage();
-                return;
-            }
-            other if other.starts_with('-') => {
-                usage_error(&format!("unknown replay option: {other}"))
-            }
-            other if file.is_none() => file = Some(other.to_string()),
-            other => usage_error(&format!("unexpected argument: {other}")),
-        }
-    }
-    let Some(file) = file else {
-        usage_error("replay needs a trace file");
-    };
-    if json.as_deref() == Some("-") {
-        TABLES_TO_STDERR.store(true, Ordering::Relaxed);
-    }
-
+fn main_replay(args: Vec<String>) -> Result<(), Usage> {
+    let (o, files) = REPLAY.parse(args, Opts::default())?;
+    route_tables("--json", &o.json, &o.taps)?;
+    let file = &files[0];
     let mut registry = Registry::new();
-    let plan = match open_replay(&file, &mut registry) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: cannot replay {file}: {e}");
-            std::process::exit(1);
-        }
-    };
+    let plan = open_replay(file, &mut registry)
+        .unwrap_or_else(|e| fail(format!("cannot replay {file}: {e}")));
     eprintln!(
         "replaying {} (seed {}, scale {}): {}",
         plan.source.describe(),
@@ -651,139 +564,62 @@ fn main_replay(args: Vec<String>) {
         // Replay streams the capture sequentially; parallel cells would
         // contend for the reader, so replay always runs single-worker.
         jobs: 1,
-        json,
-        trace_last,
-        timeline: None,
-        live_metrics: None,
-        live_interval_ms: 250,
-        log,
-        log_level,
+        opts: o,
         sections: vec![("tracefile".to_string(), registry.to_json())],
     });
+    Ok(())
 }
 
-fn main_explain(args: Vec<String>) {
-    let mut scale = 1.0f64;
-    let mut seed = 42u64;
-    let mut jobs: Option<usize> = None;
-    let mut json: Option<String> = None;
-    let mut top = harness::explain::DEFAULT_TOP;
-    let mut dump = false;
-    let mut exp: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => match parse_value(&a, it.next()) {
-                Ok(v) => scale = v,
-                Err(m) => usage_error(&m),
-            },
-            "--seed" => match parse_value(&a, it.next()) {
-                Ok(v) => seed = v,
-                Err(m) => usage_error(&m),
-            },
-            "--top" => match parse_value(&a, it.next()) {
-                Ok(v) => top = v,
-                Err(m) => usage_error(&m),
-            },
-            "--jobs" | "-j" => match parse_jobs(&a, it.next()) {
-                Ok(v) => jobs = Some(v),
-                Err(m) => usage_error(&m),
-            },
-            "--json" => {
-                json = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--json needs a value (a path or -)"),
-                })
-            }
-            "--dump-provenance" => dump = true,
-            "--help" | "-h" => {
-                print_usage();
-                return;
-            }
-            other if other.starts_with("-j") && other.len() > 2 => {
-                match parse_jobs("-j", Some(other[2..].to_string())) {
-                    Ok(v) => jobs = Some(v),
-                    Err(m) => usage_error(&m),
-                }
-            }
-            other if other.starts_with('-') => {
-                usage_error(&format!("unknown explain option: {other}"))
-            }
-            other if exp.is_none() => exp = Some(other.to_string()),
-            other => usage_error(&format!("unexpected argument: {other}")),
-        }
-    }
-    let Some(exp) = exp else {
-        usage_error("explain needs an experiment (fig13 or fig16)");
-    };
-    if json.as_deref() == Some("-") {
-        TABLES_TO_STDERR.store(true, Ordering::Relaxed);
-    }
-
-    let mut params = RunParams::pipeline_default().scaled(scale);
-    params.seed = seed;
-    let source = SyntheticSource::new(seed);
-    let Some(plan) = harness::explain_plan(&exp, &source, params, top, dump) else {
-        usage_error(&format!(
-            "explain supports {}, not {exp}",
-            harness::EXPLAIN_EXPERIMENTS.join(" and ")
-        ));
-    };
+fn main_explain(args: Vec<String>) -> Result<(), Usage> {
+    let (o, named) = EXPLAIN.parse(args, Opts::default())?;
+    route_tables("--json", &o.json, &o.taps)?;
+    let exp = &named[0];
+    let source = SyntheticSource::new(o.seed);
+    let params = sized(RunParams::pipeline_default(), &o);
+    let plan =
+        harness::explain_plan(exp, &source, params, o.top, o.dump_provenance).ok_or_else(|| {
+            format!(
+                "explain supports {}, not {exp}",
+                harness::EXPLAIN_EXPERIMENTS.join(" and ")
+            )
+        })?;
 
     let mut master = Registry::new();
     let mut section: Option<JsonValue> = None;
     run_plans(
         vec![plan],
-        jobs.unwrap_or_else(default_jobs),
+        o.jobs.unwrap_or_else(default_jobs),
         &mut master,
         |res| {
-            out!("{}", res.text);
-            eprintln!("[{} took {:.1}s]\n", res.name, res.busy.as_secs_f64());
+            show(&res);
             section = Some(res.json);
         },
     );
 
-    if let Some(dest) = &json {
+    if let Some(dest) = &o.json {
         // The explain report carries no timing/scheduler sections by
         // design: every byte is worker-count invariant.
         let root = JsonValue::object()
             .with("schema", harness::explain::SCHEMA)
-            .with("experiment", exp)
-            .with("seed", seed)
-            .with("scale", scale)
+            .with("experiment", exp.as_str())
+            .with("seed", o.seed)
+            .with("scale", o.scale)
             .with("explain", section.take().expect("one plan emitted"));
-        let text = root.to_json_pretty();
-        if dest == "-" {
-            println!("{text}");
-        } else if let Err(e) = std::fs::write(dest, text + "\n") {
-            eprintln!("error: cannot write {dest}: {e}");
-            std::process::exit(1);
-        }
+        write_out(dest, root.to_json_pretty());
     }
+    Ok(())
 }
 
-fn main_convert(args: Vec<String>) {
-    let positional: Vec<&String> = args.iter().filter(|a| !a.starts_with('-')).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print_usage();
-        return;
-    }
-    if positional.len() != 2 || args.len() != 2 {
-        usage_error("convert takes exactly: convert IN OUT");
-    }
-    let (input, output) = (positional[0].clone(), positional[1].clone());
-    match convert_any(&input, &output) {
-        Ok(stats) => outln!(
-            "converted {} instructions: {} text bytes <-> {} binary bytes",
-            stats.records,
-            stats.text_bytes,
-            stats.binary_bytes
-        ),
-        Err(e) => {
-            eprintln!("error: cannot convert {input}: {e}");
-            std::process::exit(1);
-        }
-    }
+fn main_convert(args: Vec<String>) -> Result<(), Usage> {
+    let (_, files) = CONVERT.parse(args, Opts::default())?;
+    let (input, output) = (&files[0], &files[1]);
+    let stats =
+        convert_any(input, output).unwrap_or_else(|e| fail(format!("cannot convert {input}: {e}")));
+    println!(
+        "converted {} instructions: {} text bytes <-> {} binary bytes",
+        stats.records, stats.text_bytes, stats.binary_bytes
+    );
+    Ok(())
 }
 
 /// `export-metrics`: run experiments and print the merged registry (plus
@@ -791,57 +627,14 @@ fn main_convert(args: Vec<String>) {
 /// stderr; stdout carries only the exposition so it pipes cleanly into
 /// scrape tooling — the same rendering a future serve daemon's `/metrics`
 /// endpoint will return.
-fn main_export_metrics(args: Vec<String>) {
-    let mut scale = 1.0f64;
-    let mut seed = 42u64;
-    let mut jobs: Option<usize> = None;
-    let mut out: Option<String> = None;
-    let mut experiments = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => match parse_value(&a, it.next()) {
-                Ok(v) => scale = v,
-                Err(m) => usage_error(&m),
-            },
-            "--seed" => match parse_value(&a, it.next()) {
-                Ok(v) => seed = v,
-                Err(m) => usage_error(&m),
-            },
-            "--jobs" | "-j" => match parse_jobs(&a, it.next()) {
-                Ok(v) => jobs = Some(v),
-                Err(m) => usage_error(&m),
-            },
-            "--out" => {
-                out = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--out needs a value (a file path)"),
-                })
-            }
-            "--help" | "-h" => {
-                print_usage();
-                return;
-            }
-            other if other.starts_with("-j") && other.len() > 2 => {
-                match parse_jobs("-j", Some(other[2..].to_string())) {
-                    Ok(v) => jobs = Some(v),
-                    Err(m) => usage_error(&m),
-                }
-            }
-            other if other.starts_with('-') => {
-                usage_error(&format!("unknown export-metrics option: {other}"))
-            }
-            other => experiments.push(other.to_string()),
-        }
-    }
+fn main_export_metrics(args: Vec<String>) -> Result<(), Usage> {
+    let (o, named) = EXPORT_METRICS.parse(args, Opts::default())?;
     // Stdout is the exposition; everything human-readable moves aside.
     TABLES_TO_STDERR.store(true, Ordering::Relaxed);
-    let selected = select_experiments(&experiments);
-    let mut profile = RunParams::profile_default().scaled(scale);
-    let mut pipelinep = RunParams::pipeline_default().scaled(scale);
-    profile.seed = seed;
-    pipelinep.seed = seed;
-    let source = SyntheticSource::new(seed);
+    let selected = select_experiments(&named)?;
+    let profile = sized(RunParams::profile_default(), &o);
+    let pipelinep = sized(RunParams::pipeline_default(), &o);
+    let source = SyntheticSource::new(o.seed);
     let plans = selected
         .iter()
         .map(|exp| plan_for(exp, &source, profile, pipelinep))
@@ -849,87 +642,43 @@ fn main_export_metrics(args: Vec<String>) {
     let mut master = Registry::new();
     run_plans(
         plans,
-        jobs.unwrap_or_else(default_jobs),
+        o.jobs.unwrap_or_else(default_jobs),
         &mut master,
-        |res| {
-            out!("{}", res.text);
-            eprintln!("[{} took {:.1}s]\n", res.name, res.busy.as_secs_f64());
-        },
+        |res| show(&res),
     );
     let text = obs::expose::prometheus(&master, &obs::span::snapshot());
-    match &out {
+    match &o.out {
         Some(dest) => {
             if let Err(e) = std::fs::write(dest, &text) {
-                eprintln!("error: cannot write {dest}: {e}");
-                std::process::exit(1);
+                fail(format!("cannot write {dest}: {e}"));
             }
         }
         None => print!("{text}"),
     }
+    Ok(())
 }
 
 /// `bench-diff`: compare the `experiments` sections of two run reports,
 /// print per-metric deltas, and exit 3 when any metric moved more than
 /// the threshold — the regression gate behind committed `BENCH_*.json`
 /// snapshots.
-fn main_bench_diff(args: Vec<String>) {
-    let mut threshold = harness::DEFAULT_THRESHOLD_PCT;
-    let mut full = false;
-    let mut files: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--threshold" => match parse_value::<f64>(&a, it.next()) {
-                Ok(v) if v.is_finite() && v >= 0.0 => threshold = v,
-                Ok(_) => usage_error("--threshold: must be a finite, non-negative percentage"),
-                Err(m) => usage_error(&m),
-            },
-            "--full" => full = true,
-            "--help" | "-h" => {
-                print_usage();
-                return;
-            }
-            other if other.starts_with('-') => {
-                usage_error(&format!("unknown bench-diff option: {other}"))
-            }
-            other => files.push(other.to_string()),
-        }
-    }
-    if files.len() != 2 {
-        usage_error("bench-diff takes exactly: bench-diff OLD.json NEW.json");
-    }
+fn main_bench_diff(args: Vec<String>) -> Result<(), Usage> {
+    let (o, files) = BENCH_DIFF.parse(args, Opts::default())?;
     let load = |path: &str| -> JsonValue {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        match JsonValue::parse(&text) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("error: {path} is not valid JSON: {e}");
-                std::process::exit(1);
-            }
-        }
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
+        JsonValue::parse(&text).unwrap_or_else(|e| fail(format!("{path} is not valid JSON: {e}")))
     };
     let old = load(&files[0]);
     let new = load(&files[1]);
-    let diff = match harness::diff_reports(&old, &new, threshold) {
-        Ok(d) => d,
-        Err(m) => {
-            eprintln!("error: {m}");
-            std::process::exit(1);
-        }
-    };
-    print!("{}", diff.render(full));
+    let diff = harness::diff_reports(&old, &new, o.threshold).unwrap_or_else(|m| fail(m));
+    print!("{}", diff.render(o.full));
     let breaches = diff.breaches();
     if breaches.is_empty() {
         println!(
             "OK: {} metrics within {:.2}% of {}",
             diff.rows.len(),
-            threshold,
+            o.threshold,
             files[0]
         );
     } else {
@@ -937,10 +686,158 @@ fn main_bench_diff(args: Vec<String>) {
             "FAIL: {} of {} metrics moved more than {:.2}%",
             breaches.len(),
             diff.rows.len(),
-            threshold
+            o.threshold
         );
         std::process::exit(3);
     }
+    Ok(())
+}
+
+fn main_serve(args: Vec<String>) -> Result<(), Usage> {
+    let opts = serve_cli::parse_serve_args(args)?;
+    serve_cli::run_serve(&opts).unwrap_or_else(|e| fail(e));
+    Ok(())
+}
+
+fn main_serve_client(args: Vec<String>) -> Result<(), Usage> {
+    let opts = serve_cli::parse_serve_client_args(args)?;
+    serve_cli::run_serve_client(&opts).unwrap_or_else(|e| fail(e));
+    Ok(())
+}
+
+/// `logs FILE [--level L] [--target PREFIX] [--follow] [--json]`: read a
+/// binary journal written by `--log` and pretty-print it (or emit one
+/// JSON object per record). `--follow` keeps polling for appended
+/// records, surviving rotation.
+fn main_logs(args: Vec<String>) -> Result<(), Usage> {
+    let (o, files) = LOGS.parse(args, Opts::default())?;
+    let file = &files[0];
+    let path = std::path::Path::new(file);
+    let keep = |r: &obs::log::OwnedRecord| {
+        r.level as u8 >= o.level as u8
+            && o.target.as_deref().is_none_or(|t| r.target.starts_with(t))
+    };
+    let print = |r: &obs::log::OwnedRecord| {
+        if o.json_lines {
+            println!("{}", r.to_json().to_json());
+        } else {
+            println!("{r}");
+        }
+    };
+
+    if o.follow {
+        // The tail starts at the header, so the first poll replays the
+        // whole existing journal before settling into live updates.
+        let mut tail = obs::log::JournalTail::open(path)
+            .unwrap_or_else(|e| fail(format!("cannot open {file}: {e}")));
+        loop {
+            match tail.poll() {
+                Ok((records, warning)) => {
+                    for r in &records {
+                        if keep(r) {
+                            print(r);
+                        }
+                    }
+                    if let Some(w) = warning {
+                        eprintln!("warning: {file}: {w}");
+                    }
+                }
+                // Rotation renames the file before recreating it; a poll
+                // landing in that window just waits for the new one.
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => fail(format!("{file}: {e}")),
+            }
+            std::thread::sleep(Duration::from_millis(200));
+        }
+    }
+
+    let outcome =
+        obs::log::read_journal(path).unwrap_or_else(|e| fail(format!("cannot read {file}: {e}")));
+    let mut shown = 0usize;
+    for r in &outcome.records {
+        if keep(r) {
+            print(r);
+            shown += 1;
+        }
+    }
+    if let Some(w) = outcome.warning {
+        eprintln!("warning: {file}: {w}");
+    }
+    eprintln!("{file}: {shown} of {} records shown", outcome.records.len());
+    Ok(())
+}
+
+/// `sweep --grid SPEC|@FILE --ckpt DIR [--workers N] [--jobs N] ...`:
+/// expand a declarative parameter grid and run every cell across worker
+/// processes, checkpointing each finished cell so an interrupted sweep
+/// resumes where it left off. The merged report is byte-identical for
+/// every worker/thread count and any interrupt/resume split.
+fn main_sweep(args: Vec<String>) -> Result<(), Usage> {
+    let (o, _) = SWEEP.parse(args, Opts::default())?;
+    let grid_arg = o.grid.clone().ok_or("sweep needs --grid")?;
+    if o.dry_run && o.fresh {
+        return Err("--dry-run and --fresh are mutually exclusive".into());
+    }
+    route_tables("--out", &o.out, &o.taps)?;
+    let spec_text = match grid_arg.strip_prefix('@') {
+        Some(path) => std::fs::read_to_string(path)
+            .unwrap_or_else(|e| fail(format!("cannot read grid file {path}: {e}"))),
+        None => grid_arg,
+    };
+    let grid = harness::GridSpec::parse(&spec_text, sized(RunParams::profile_default(), &o))?;
+    if o.dry_run {
+        print!("{}", harness::render_dry_run(&grid));
+        return Ok(());
+    }
+    let ckpt = o.ckpt.clone().ok_or("sweep needs --ckpt (or --dry-run)")?;
+
+    let taps = Taps::start(&o.taps).unwrap_or_else(|e| fail(e));
+    obs::log::info(
+        "harness.sweep",
+        "sweep started",
+        &[
+            ("cells", obs::log::Value::from(grid.cell_count())),
+            ("workers", obs::log::Value::from(o.workers)),
+            ("seed", obs::log::Value::from(o.seed)),
+        ],
+    );
+    let dir = std::path::Path::new(&ckpt);
+    harness::prepare_dir(dir, &grid, o.fresh).unwrap_or_else(|e| fail(e));
+    // Each worker process gets an even share of the machine unless --jobs
+    // pins its thread count explicitly.
+    let jobs = o
+        .jobs
+        .unwrap_or_else(|| (default_jobs() / o.workers).max(1));
+    let completed = harness::sweep_parent(dir, &grid, o.workers, jobs, taps.live())
+        .unwrap_or_else(|e| fail(format!("sweep failed: {e}")));
+
+    let (text, report) = harness::render_sweep(&grid, &completed, o.pareto, o.scale);
+    out!("{}", text);
+    if let Some(dest) = &o.out {
+        write_out(dest, report.to_json_pretty());
+    }
+    obs::log::info(
+        "harness.sweep",
+        "sweep finished",
+        &[("cells", obs::log::Value::from(completed.len()))],
+    );
+    taps.finish().unwrap_or_else(|e| fail(e));
+    Ok(())
+}
+
+/// Hidden child-process entry point: `sweep-worker --ckpt DIR --worker K
+/// --workers W --jobs J`. Spawned by `sweep`; everything it needs is in
+/// the checkpoint directory. Exits when its parent dies (stdin EOF).
+fn main_sweep_worker(args: Vec<String>) -> Result<(), Usage> {
+    let (o, _) = SWEEP_WORKER.parse(args, Opts::default())?;
+    let (Some(ckpt), Some(worker), Some(workers)) = (o.ckpt, o.worker, o.shards) else {
+        return Err("sweep-worker needs --ckpt, --worker, and --workers".into());
+    };
+    harness::sweep::spawn_orphan_watchdog();
+    let jobs = o.jobs.unwrap_or(1);
+    harness::run_sweep_worker(std::path::Path::new(&ckpt), worker, workers, jobs)
+        .unwrap_or_else(|e| fail(format!("sweep worker {worker}: {e}")));
+    Ok(())
 }
 
 /// Converts in whichever direction the input's magic bytes call for.
@@ -972,422 +869,6 @@ fn convert_any(
     }
 }
 
-fn main_serve(args: Vec<String>) {
-    let opts = match serve_cli::parse_serve_args(args) {
-        Ok(o) => o,
-        Err(msg) if msg.is_empty() => {
-            print_usage();
-            return;
-        }
-        Err(msg) => usage_error(&msg),
-    };
-    if let Err(e) = serve_cli::run_serve(&opts) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-}
-
-fn main_serve_client(args: Vec<String>) {
-    let opts = match serve_cli::parse_serve_client_args(args) {
-        Ok(o) => o,
-        Err(msg) if msg.is_empty() => {
-            print_usage();
-            return;
-        }
-        Err(msg) => usage_error(&msg),
-    };
-    if let Err(e) = serve_cli::run_serve_client(&opts) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-}
-
-/// `logs FILE [--level L] [--target PREFIX] [--follow] [--json]`: read a
-/// binary journal written by `--log` and pretty-print it (or emit one
-/// JSON object per record). `--follow` keeps polling for appended
-/// records, surviving rotation.
-fn main_logs(args: Vec<String>) {
-    let mut file: Option<String> = None;
-    let mut level = obs::log::Level::Debug;
-    let mut target: Option<String> = None;
-    let mut follow = false;
-    let mut json = false;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--level" => match parse_level(&a, it.next()) {
-                Ok(v) => level = v,
-                Err(m) => usage_error(&m),
-            },
-            "--target" => {
-                target = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--target needs a value (a target prefix)"),
-                })
-            }
-            "--follow" | "-f" => follow = true,
-            "--json" => json = true,
-            "--help" | "-h" => {
-                print_usage();
-                return;
-            }
-            other if other.starts_with('-') => {
-                usage_error(&format!("unknown logs option: {other}"))
-            }
-            other if file.is_none() => file = Some(other.to_string()),
-            other => usage_error(&format!("unexpected argument: {other}")),
-        }
-    }
-    let Some(file) = file else {
-        usage_error("logs needs a journal file");
-    };
-    let path = std::path::Path::new(&file);
-    let keep = |r: &obs::log::OwnedRecord| {
-        r.level as u8 >= level as u8 && target.as_deref().is_none_or(|t| r.target.starts_with(t))
-    };
-    let print = |r: &obs::log::OwnedRecord| {
-        if json {
-            println!("{}", r.to_json().to_json());
-        } else {
-            println!("{r}");
-        }
-    };
-
-    if follow {
-        // The tail starts at the header, so the first poll replays the
-        // whole existing journal before settling into live updates.
-        let mut tail = match obs::log::JournalTail::open(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot open {file}: {e}");
-                std::process::exit(1);
-            }
-        };
-        loop {
-            match tail.poll() {
-                Ok((records, warning)) => {
-                    for r in &records {
-                        if keep(r) {
-                            print(r);
-                        }
-                    }
-                    if let Some(w) = warning {
-                        eprintln!("warning: {file}: {w}");
-                    }
-                }
-                // Rotation renames the file before recreating it; a poll
-                // landing in that window just waits for the new one.
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => {
-                    eprintln!("error: {file}: {e}");
-                    std::process::exit(1);
-                }
-            }
-            std::thread::sleep(Duration::from_millis(200));
-        }
-    }
-
-    let outcome = match obs::log::read_journal(path) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: cannot read {file}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut shown = 0usize;
-    for r in &outcome.records {
-        if keep(r) {
-            print(r);
-            shown += 1;
-        }
-    }
-    if let Some(w) = outcome.warning {
-        eprintln!("warning: {file}: {w}");
-    }
-    eprintln!("{file}: {shown} of {} records shown", outcome.records.len());
-}
-
-/// `sweep --grid SPEC|@FILE --ckpt DIR [--workers N] [--jobs N] ...`:
-/// expand a declarative parameter grid and run every cell across worker
-/// processes, checkpointing each finished cell so an interrupted sweep
-/// resumes where it left off. The merged report is byte-identical for
-/// every worker/thread count and any interrupt/resume split.
-fn main_sweep(args: Vec<String>) {
-    let mut grid_arg: Option<String> = None;
-    let mut ckpt: Option<String> = None;
-    let mut workers: usize = 1;
-    let mut jobs: Option<usize> = None;
-    let mut pareto = false;
-    let mut dry_run = false;
-    let mut fresh = false;
-    let mut out: Option<String> = None;
-    let mut scale = 1.0f64;
-    let mut seed = 42u64;
-    let mut log: Option<String> = None;
-    let mut log_level = obs::log::Level::Info;
-    let mut live_metrics: Option<String> = None;
-    let mut live_interval_ms = 250u64;
-    let mut timeline: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--grid" => {
-                grid_arg = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--grid needs a value (a spec or @FILE)"),
-                })
-            }
-            "--ckpt" => {
-                ckpt = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--ckpt needs a value (a directory)"),
-                })
-            }
-            "--workers" => match parse_jobs(&a, it.next()) {
-                Ok(v) => workers = v,
-                Err(m) => usage_error(&m),
-            },
-            "--jobs" => match parse_jobs(&a, it.next()) {
-                Ok(v) => jobs = Some(v),
-                Err(m) => usage_error(&m),
-            },
-            "--pareto" => pareto = true,
-            "--dry-run" => dry_run = true,
-            "--fresh" => fresh = true,
-            "--out" => {
-                out = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--out needs a value (a path or -)"),
-                })
-            }
-            "--scale" => match parse_value(&a, it.next()) {
-                Ok(v) => scale = v,
-                Err(m) => usage_error(&m),
-            },
-            "--seed" => match parse_value(&a, it.next()) {
-                Ok(v) => seed = v,
-                Err(m) => usage_error(&m),
-            },
-            "--log" => {
-                log = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--log needs a value (a path)"),
-                })
-            }
-            "--log-level" => match parse_level(&a, it.next()) {
-                Ok(v) => log_level = v,
-                Err(m) => usage_error(&m),
-            },
-            "--live-metrics" => {
-                live_metrics = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--live-metrics needs a value (a path or -)"),
-                })
-            }
-            "--live-interval-ms" => match parse_interval_ms(&a, it.next()) {
-                Ok(v) => live_interval_ms = v,
-                Err(m) => usage_error(&m),
-            },
-            "--timeline" => {
-                timeline = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--timeline needs a value (a path)"),
-                })
-            }
-            "--help" | "-h" => {
-                print_usage();
-                return;
-            }
-            other => usage_error(&format!("unknown sweep option: {other}")),
-        }
-    }
-    let Some(grid_arg) = grid_arg else {
-        usage_error("sweep needs --grid");
-    };
-    if dry_run && fresh {
-        usage_error("--dry-run and --fresh are mutually exclusive");
-    }
-    let spec_text = if let Some(path) = grid_arg.strip_prefix('@') {
-        match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read grid file {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        grid_arg
-    };
-    let mut base = RunParams::profile_default().scaled(scale);
-    base.seed = seed;
-    let grid = match harness::GridSpec::parse(&spec_text, base) {
-        Ok(g) => g,
-        Err(m) => usage_error(&m),
-    };
-    if dry_run {
-        print!("{}", harness::render_dry_run(&grid));
-        return;
-    }
-    let Some(ckpt) = ckpt else {
-        usage_error("sweep needs --ckpt (or --dry-run)");
-    };
-    if out.as_deref() == Some("-") || live_metrics.as_deref() == Some("-") {
-        TABLES_TO_STDERR.store(true, Ordering::Relaxed);
-    }
-
-    let journal =
-        match serve_cli::enable_journal(log.as_deref().map(std::path::Path::new), log_level) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        };
-    if timeline.is_some() {
-        obs::timeline::enable(TIMELINE_CAPACITY);
-        obs::timeline::set_thread_name("main");
-    }
-    let live = live_metrics.as_ref().map(|_| SharedRegistry::new());
-    let sampler = live_metrics.as_ref().map(|dest| {
-        let writer: Box<dyn std::io::Write + Send> = if dest == "-" {
-            Box::new(std::io::stdout())
-        } else {
-            match std::fs::File::create(dest) {
-                Ok(f) => Box::new(f),
-                Err(e) => {
-                    eprintln!("error: cannot write {dest}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        };
-        Sampler::start(
-            live.clone().expect("live registry exists"),
-            Duration::from_millis(live_interval_ms),
-            LIVE_RING_CAP,
-            Some(writer),
-        )
-    });
-    obs::log::info(
-        "harness.sweep",
-        "sweep started",
-        &[
-            ("cells", obs::log::Value::from(grid.cell_count())),
-            ("workers", obs::log::Value::from(workers)),
-            ("seed", obs::log::Value::from(seed)),
-        ],
-    );
-
-    let dir = std::path::Path::new(&ckpt);
-    if let Err(e) = harness::prepare_dir(dir, &grid, fresh) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-    // Each worker process gets an even share of the machine unless --jobs
-    // pins its thread count explicitly.
-    let jobs = jobs.unwrap_or_else(|| (default_jobs() / workers).max(1));
-    let completed = match harness::sweep_parent(dir, &grid, workers, jobs, live.as_ref()) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: sweep failed: {e}");
-            std::process::exit(1);
-        }
-    };
-
-    let (text, report) = harness::render_sweep(&grid, &completed, pareto, scale);
-    out!("{}", text);
-    if let Some(dest) = &out {
-        let text = report.to_json_pretty();
-        if dest == "-" {
-            println!("{text}");
-        } else if let Err(e) = std::fs::write(dest, text + "\n") {
-            eprintln!("error: cannot write {dest}: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if let Some(dest) = &timeline {
-        obs::timeline::disable();
-        let text = obs::timeline::export().to_json();
-        if let Err(e) = std::fs::write(dest, text + "\n") {
-            eprintln!("error: cannot write {dest}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "timeline: {} events ({} dropped) -> {dest}",
-            obs::timeline::recorded(),
-            obs::timeline::dropped(),
-        );
-    }
-    if let Some(sampler) = sampler {
-        let log = sampler.stop();
-        if !log.stream_ok {
-            eprintln!("warning: live-metrics stream write failed");
-        }
-        eprintln!(
-            "live-metrics: {} snapshots ({} beyond the ring)",
-            log.taken, log.dropped
-        );
-    }
-    obs::log::info(
-        "harness.sweep",
-        "sweep finished",
-        &[("cells", obs::log::Value::from(completed.len()))],
-    );
-    if let Some(path) = journal {
-        let records = obs::log::recorded();
-        let write_errors = obs::log::disable();
-        eprintln!("journal: {records} records -> {}", path.display());
-        if write_errors > 0 {
-            eprintln!(
-                "warning: journal {}: {write_errors} write errors",
-                path.display()
-            );
-        }
-    }
-}
-
-/// Hidden child-process entry point: `sweep-worker --ckpt DIR --worker K
-/// --workers W --jobs J`. Spawned by `sweep`; everything it needs is in
-/// the checkpoint directory. Exits when its parent dies (stdin EOF).
-fn main_sweep_worker(args: Vec<String>) {
-    let mut ckpt: Option<String> = None;
-    let mut worker: Option<u32> = None;
-    let mut workers: Option<u32> = None;
-    let mut jobs = 1usize;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--ckpt" => {
-                ckpt = Some(match it.next() {
-                    Some(v) => v,
-                    None => usage_error("--ckpt needs a value (a directory)"),
-                })
-            }
-            "--worker" => match parse_value(&a, it.next()) {
-                Ok(v) => worker = Some(v),
-                Err(m) => usage_error(&m),
-            },
-            "--workers" => match parse_value(&a, it.next()) {
-                Ok(v) => workers = Some(v),
-                Err(m) => usage_error(&m),
-            },
-            "--jobs" => match parse_jobs(&a, it.next()) {
-                Ok(v) => jobs = v,
-                Err(m) => usage_error(&m),
-            },
-            other => usage_error(&format!("unknown sweep-worker option: {other}")),
-        }
-    }
-    let (Some(ckpt), Some(worker), Some(workers)) = (ckpt, worker, workers) else {
-        usage_error("sweep-worker needs --ckpt, --worker, and --workers");
-    };
-    harness::sweep::spawn_orphan_watchdog();
-    if let Err(e) = harness::run_sweep_worker(std::path::Path::new(&ckpt), worker, workers, jobs) {
-        eprintln!("error: sweep worker {worker}: {e}");
-        std::process::exit(1);
-    }
-}
-
 fn print_usage() {
     eprintln!(
         "usage: harness [--scale F] [--seed N] [--jobs N|-jN] [--json PATH|-]\n\
@@ -1413,12 +894,13 @@ fn print_usage() {
          \x20              [--status] [--metrics] [--health] [--shutdown]\n\
          \x20      harness logs FILE [--level L] [--target PREFIX] [--follow] [--json]\n\
          \x20      harness sweep --grid SPEC|@FILE (--ckpt DIR | --dry-run)\n\
-         \x20              [--workers N] [--jobs N] [--pareto] [--out PATH|-]\n\
+         \x20              [--workers N] [--jobs N|-jN] [--pareto] [--out PATH|-]\n\
          \x20              [--fresh] [--scale F] [--seed N] [--log PATH] [--log-level L]\n\
          \x20              [--live-metrics PATH|-] [--live-interval-ms N] [--timeline PATH]\n\
          experiments: fig1 fig8 fig9 fig10 fig12 fig13 fig16 fig18a fig18b\n\
          table2 fig19 ablate-queue ablate-filler ablate-confidence\n\
          ablate-depth prefetch limit all\n\
+         --scale multiplies run sizes (finite and > 0, default 1)\n\
          --jobs runs experiment cells on N workers (default: all cores);\n\
          output is byte-identical for every worker count\n\
          --json writes a machine-readable run report (- for stdout)\n\
@@ -1427,7 +909,8 @@ fn print_usage() {
          or chrome://tracing): one track per worker, spans per cell\n\
          --live-metrics streams periodic delta-compressed NDJSON metric\n\
          snapshots while the run is going (- for stdout; tables move to\n\
-         stderr); --live-interval-ms sets the period (default 250)\n\
+         stderr); --live-interval-ms sets the period (default 250);\n\
+         only one of --json/--out and --live-metrics may be -\n\
          record captures the instruction streams the named experiments\n\
          consume into a chunked, CRC-checked binary container; replay\n\
          re-runs them from the capture with identical results (always\n\
@@ -1472,4 +955,72 @@ fn print_usage() {
          prints the expansion without running; --fresh discards\n\
          checkpoints from a previous grid"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use harness::serve_cli::{ServeClientOpts, ServeOpts, SERVE, SERVE_CLIENT};
+
+    /// Checks a table against its own entries, so every flag added to any
+    /// table is covered with no new test code: a value-taking flag with no
+    /// value names itself and its hint, spellings are unique, an unknown
+    /// flag names the subcommand, and `--help` is help.
+    fn check_table<O>(cmd: &Command<O>, init: fn() -> O) {
+        let parse = |args: &[&str]| {
+            cmd.parse(args.iter().map(|s| s.to_string()).collect(), init())
+                .map(|_| ())
+        };
+        let mut seen = std::collections::HashSet::new();
+        for flag in cmd.flags {
+            for &name in flag.0 {
+                assert!(seen.insert(name), "{name} appears twice in `{}`", cmd.name);
+                if let Some(hint) = flag.hint() {
+                    let msg = format!("{name} needs a value ({hint})");
+                    assert_eq!(parse(&[name]), Err(Usage::Error(msg)));
+                }
+            }
+        }
+        let unknown = match cmd.name {
+            "" => "unknown option: --bogus".to_string(),
+            name => format!("unknown {name} option: --bogus"),
+        };
+        assert_eq!(parse(&["--bogus"]), Err(Usage::Error(unknown)));
+        assert_eq!(parse(&["--help"]), Err(Usage::Help));
+        assert_eq!(parse(&["-h"]), Err(Usage::Help));
+    }
+
+    #[test]
+    fn every_flag_table_rejects_and_helps_uniformly() {
+        for cmd in [
+            &RUN,
+            &RECORD,
+            &REPLAY,
+            &CONVERT,
+            &EXPLAIN,
+            &EXPORT_METRICS,
+            &BENCH_DIFF,
+            &LOGS,
+            &SWEEP,
+            &SWEEP_WORKER,
+        ] {
+            check_table(cmd, Opts::default);
+        }
+        check_table(&SERVE, ServeOpts::default);
+        check_table(&SERVE_CLIENT, ServeClientOpts::default);
+    }
+
+    #[test]
+    fn jobs_is_one_definition_on_every_subcommand_that_takes_it() {
+        for cmd in [&RUN, &EXPLAIN, &EXPORT_METRICS, &SWEEP, &SWEEP_WORKER] {
+            for args in [&["-j3"][..], &["-j", "3"], &["--jobs", "3"]] {
+                let mut owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+                if let Positionals::Exactly(n, _) = cmd.positionals {
+                    owned.extend((0..n).map(|_| "x".to_string()));
+                }
+                let (o, _) = cmd.parse(owned, Opts::default()).unwrap();
+                assert_eq!(o.jobs, Some(3), "`{}` {args:?}", cmd.name);
+            }
+        }
+    }
 }

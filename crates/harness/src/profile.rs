@@ -80,7 +80,7 @@ pub fn run_profile_gated(
 }
 
 /// Value producers a profile-mode experiment consumes: the number of
-/// instructions [`value_stream_on`] takes after filtering. Recording
+/// instructions `value_stream_on` takes after filtering. Recording
 /// tools use this to size captured traces.
 pub fn profile_producers(params: RunParams) -> usize {
     (params.warmup + params.measure) as usize

@@ -1,9 +1,10 @@
 //! Engine behind `harness serve` and `harness serve-client`.
 //!
-//! The thin argument loops live in `main.rs` next to the other
-//! subcommands; everything that does work — daemon startup, the
-//! trace-streaming client, and the `--selftest` harness — lives here so
-//! it can be unit- and integration-tested without spawning a process.
+//! The two flag tables ([`SERVE`], [`SERVE_CLIENT`]) run on the shared
+//! [`crate::cli`] parser like every other subcommand's; everything that
+//! does work — daemon startup, the trace-streaming client, and the
+//! `--selftest` harness — lives here so it can be unit- and
+//! integration-tested without spawning a process.
 //!
 //! The selftest is the round-trip oath of the serving layer: it records
 //! the profile-mode benchmark streams into a temporary trace container,
@@ -20,6 +21,10 @@ use serve::{client, ServeConfig, Server, SessionParams};
 use tracefile::TraceReader;
 use workloads::{Benchmark, SyntheticSource, TraceSource};
 
+use crate::cli::{
+    at_least_1, level, number, scale, Command, Flag, Positionals, Usage, LEVEL_HINT, SCALE_HINT,
+};
+use crate::taps::{TapOpts, Taps};
 use crate::RunParams;
 
 /// Options for `harness serve`.
@@ -77,33 +82,41 @@ impl ServeOpts {
     }
 }
 
-/// Parses `harness serve` arguments. `Err` is a usage message (exit 2);
-/// the empty message means `--help`.
-pub fn parse_serve_args(args: Vec<String>) -> Result<ServeOpts, String> {
-    let mut opts = ServeOpts::default();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => {
-                let v = it.next().ok_or("--socket needs a value (a path)")?;
-                opts.socket = Some(PathBuf::from(v));
-            }
-            "--stdio" => opts.stdio = true,
-            "--selftest" => opts.selftest = true,
-            "--max-sessions" => opts.max_sessions = parse_count(&a, it.next())?,
-            "--queue-depth" => opts.queue_depth = parse_count(&a, it.next())?,
-            "--global-queue" => opts.global_queue = parse_count(&a, it.next())?,
-            "--scale" => opts.scale = parse_num(&a, it.next())?,
-            "--seed" => opts.seed = parse_num(&a, it.next())?,
-            "--log" => {
-                let v = it.next().ok_or("--log needs a value (a journal path)")?;
-                opts.log = Some(PathBuf::from(v));
-            }
-            "--log-level" => opts.log_level = parse_level(&a, it.next())?,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown serve option: {other}")),
-        }
-    }
+/// The `harness serve` flag table.
+pub const SERVE: Command<ServeOpts> = Command {
+    name: "serve",
+    positionals: Positionals::None,
+    flags: &[
+        Flag::text(&["--socket"], "a path", |o, v| o.socket = Some(v.into())),
+        Flag::switch(&["--stdio"], |o| o.stdio = true),
+        Flag::switch(&["--selftest"], |o| o.selftest = true),
+        Flag::parse(&["--max-sessions"], "a count", |o, f, v| {
+            at_least_1(f, v, AT_LEAST_1).map(|n| o.max_sessions = n)
+        }),
+        Flag::parse(&["--queue-depth"], "a count", |o, f, v| {
+            at_least_1(f, v, AT_LEAST_1).map(|n| o.queue_depth = n)
+        }),
+        Flag::parse(&["--global-queue"], "a count", |o, f, v| {
+            at_least_1(f, v, AT_LEAST_1).map(|n| o.global_queue = n)
+        }),
+        Flag::parse(&["--scale"], SCALE_HINT, |o, f, v| {
+            scale(f, v).map(|x| o.scale = x)
+        }),
+        Flag::parse(&["--seed"], "an integer", |o, f, v| {
+            number(f, v).map(|n| o.seed = n)
+        }),
+        Flag::text(&["--log"], "a journal path", |o, v| o.log = Some(v.into())),
+        Flag::parse(&["--log-level"], LEVEL_HINT, |o, f, v| {
+            level(f, v).map(|l| o.log_level = l)
+        }),
+    ],
+};
+
+const AT_LEAST_1: &str = "must be at least 1";
+
+/// Parses `harness serve` arguments.
+pub fn parse_serve_args(args: Vec<String>) -> Result<ServeOpts, Usage> {
+    let (opts, _) = SERVE.parse(args, ServeOpts::default())?;
     let modes = opts.socket.is_some() as u8 + opts.stdio as u8 + opts.selftest as u8;
     match modes {
         0 => Err("serve needs --socket PATH, --stdio, or --selftest".into()),
@@ -159,52 +172,56 @@ pub struct ServeClientOpts {
     pub drift_probe: bool,
 }
 
-/// Parses `harness serve-client` arguments (same contract as
-/// [`parse_serve_args`]).
-pub fn parse_serve_client_args(args: Vec<String>) -> Result<ServeClientOpts, String> {
-    let mut opts = ServeClientOpts {
+/// The `harness serve-client` flag table.
+pub const SERVE_CLIENT: Command<ServeClientOpts> = Command {
+    name: "serve-client",
+    positionals: Positionals::None,
+    flags: &[
+        Flag::text(&["--socket"], "a path", |o, v| o.socket = v.into()),
+        Flag::text(&["--trace"], "a file path", |o, v| o.trace = Some(v.into())),
+        Flag::parse(&["--stream"], "a benchmark name", |o, _, v| {
+            benchmark_named(v).map(|b| o.stream = Some(b))
+        }),
+        Flag::text(&["--session"], "a name", |o, v| o.session = Some(v)),
+        Flag::parse(&["--window"], "a count", |o, f, v| {
+            at_least_1(f, v, AT_LEAST_1).map(|n| o.window = n)
+        }),
+        Flag::parse(&["--warmup"], "an integer", |o, f, v| {
+            number(f, v).map(|n| o.warmup = Some(n))
+        }),
+        Flag::parse(&["--measure"], "an integer", |o, f, v| {
+            number(f, v).map(|n| o.measure = Some(n))
+        }),
+        Flag::parse(&["--scale"], SCALE_HINT, |o, f, v| {
+            scale(f, v).map(|x| o.scale = x)
+        }),
+        Flag::parse(&["--seed"], "an integer", |o, f, v| {
+            number(f, v).map(|n| o.seed = n)
+        }),
+        Flag::switch(&["--status"], |o| o.status = true),
+        Flag::switch(&["--metrics"], |o| o.metrics = true),
+        Flag::switch(&["--health"], |o| o.health = true),
+        Flag::switch(&["--shutdown"], |o| o.shutdown = true),
+        Flag::parse(&["--corrupt-chunk"], "a chunk index", |o, f, v| {
+            number(f, v).map(|n| o.corrupt_chunk = Some(n))
+        }),
+        Flag::switch(&["--drift-probe"], |o| o.drift_probe = true),
+    ],
+};
+
+/// Parses `harness serve-client` arguments.
+pub fn parse_serve_client_args(args: Vec<String>) -> Result<ServeClientOpts, Usage> {
+    let init = ServeClientOpts {
         window: 4,
         scale: 1.0,
         seed: 42,
         ..ServeClientOpts::default()
     };
-    let mut socket = None;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => {
-                let v = it.next().ok_or("--socket needs a value (a path)")?;
-                socket = Some(PathBuf::from(v));
-            }
-            "--trace" => {
-                let v = it.next().ok_or("--trace needs a value (a file path)")?;
-                opts.trace = Some(PathBuf::from(v));
-            }
-            "--stream" => {
-                let v = it
-                    .next()
-                    .ok_or("--stream needs a value (a benchmark name)")?;
-                opts.stream = Some(benchmark_named(&v)?);
-            }
-            "--session" => {
-                opts.session = Some(it.next().ok_or("--session needs a value (a name)")?)
-            }
-            "--window" => opts.window = parse_count(&a, it.next())? as u64,
-            "--warmup" => opts.warmup = Some(parse_num(&a, it.next())?),
-            "--measure" => opts.measure = Some(parse_num(&a, it.next())?),
-            "--scale" => opts.scale = parse_num(&a, it.next())?,
-            "--seed" => opts.seed = parse_num(&a, it.next())?,
-            "--status" => opts.status = true,
-            "--metrics" => opts.metrics = true,
-            "--health" => opts.health = true,
-            "--shutdown" => opts.shutdown = true,
-            "--corrupt-chunk" => opts.corrupt_chunk = Some(parse_num(&a, it.next())?),
-            "--drift-probe" => opts.drift_probe = true,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown serve-client option: {other}")),
-        }
+    let (opts, _) = SERVE_CLIENT.parse(args, init)?;
+    // `socket` stays empty unless `--socket` set it.
+    if opts.socket.as_os_str().is_empty() {
+        return Err("serve-client needs --socket PATH".into());
     }
-    opts.socket = socket.ok_or("serve-client needs --socket PATH")?;
     let stream_modes =
         opts.trace.is_some() as u8 + opts.stream.is_some() as u8 + opts.drift_probe as u8;
     if stream_modes > 1 {
@@ -222,26 +239,6 @@ pub fn parse_serve_client_args(args: Vec<String>) -> Result<ServeClientOpts, Str
         );
     }
     Ok(opts)
-}
-
-fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
-    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
-    v.parse()
-        .map_err(|_| format!("{flag}: invalid value '{v}'"))
-}
-
-fn parse_count(flag: &str, value: Option<String>) -> Result<usize, String> {
-    let n: usize = parse_num(flag, value)?;
-    if n == 0 {
-        return Err(format!("{flag}: must be at least 1"));
-    }
-    Ok(n)
-}
-
-/// Parses a journal level name (`debug`, `info`, `warn`, `error`).
-pub fn parse_level(flag: &str, value: Option<String>) -> Result<obs::log::Level, String> {
-    let v = value.ok_or_else(|| format!("{flag} needs a value (debug|info|warn|error)"))?;
-    obs::log::Level::parse(&v).ok_or_else(|| format!("{flag}: unknown level '{v}'"))
 }
 
 /// A socket path the daemon can actually bind: its parent directory must
@@ -276,31 +273,13 @@ fn benchmark_named(name: &str) -> Result<Benchmark, String> {
 
 /// Runs `harness serve`. `Err` is a runtime failure (exit 1).
 pub fn run_serve(opts: &ServeOpts) -> Result<(), String> {
-    let journal = enable_journal(opts.log.as_deref(), opts.log_level)?;
+    let taps = Taps::start(&TapOpts {
+        log: opts.log.clone(),
+        log_level: opts.log_level,
+        ..TapOpts::default()
+    })?;
     let result = run_serve_inner(opts);
-    if let Some(path) = journal {
-        let write_errors = obs::log::disable();
-        if write_errors > 0 {
-            eprintln!("journal {}: {write_errors} write errors", path.display());
-        }
-    }
-    result
-}
-
-/// Turns the global journal on when `--log` was given; returns the path
-/// so the caller knows to disable (and flush) it on the way out.
-pub fn enable_journal(
-    path: Option<&Path>,
-    level: obs::log::Level,
-) -> Result<Option<PathBuf>, String> {
-    let Some(path) = path else { return Ok(None) };
-    let cfg = obs::log::LogConfig {
-        level,
-        file: Some(path.to_path_buf()),
-        ..obs::log::LogConfig::default()
-    };
-    obs::log::enable(&cfg).map_err(|e| format!("cannot open journal {}: {e}", path.display()))?;
-    Ok(Some(path.to_path_buf()))
+    result.and(taps.finish())
 }
 
 fn run_serve_inner(opts: &ServeOpts) -> Result<(), String> {
@@ -833,11 +812,11 @@ fn run_selftest(opts: &ServeOpts) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn parse_s(args: &[&str]) -> Result<ServeOpts, String> {
+    fn parse_s(args: &[&str]) -> Result<ServeOpts, Usage> {
         parse_serve_args(args.iter().map(|s| s.to_string()).collect())
     }
 
-    fn parse_c(args: &[&str]) -> Result<ServeClientOpts, String> {
+    fn parse_c(args: &[&str]) -> Result<ServeClientOpts, Usage> {
         parse_serve_client_args(args.iter().map(|s| s.to_string()).collect())
     }
 

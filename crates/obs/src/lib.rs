@@ -10,7 +10,7 @@
 //! - [`trace`] — a global, cycle-stamped ring-buffer event tracer for
 //!   pipeline lifecycle events and predictor decisions. Off by default;
 //!   when off each trace site costs one relaxed atomic load.
-//! - [`span`] — RAII wall-time spans aggregated per name, for
+//! - [`span`](mod@span) — RAII wall-time spans aggregated per name, for
 //!   per-experiment timing in run reports.
 //! - [`json`] — a small JSON value tree with a writer and a strict
 //!   parser, used for the harness's machine-readable `--json` reports.

@@ -274,6 +274,8 @@ fn sweep_args_are_validated() {
         ],
         "interval must be at least 1 ms",
     );
+    // `-j` is the one shared `--jobs` definition, validated the same way.
+    assert_usage_error(&["sweep", "-j0"], "at least 1");
 }
 
 #[test]
@@ -315,5 +317,55 @@ fn sweep_worker_args_are_validated() {
     assert_usage_error(
         &["sweep-worker", "--ckpt", "/tmp/x", "--worker", "no"],
         "invalid value 'no'",
+    );
+    assert_usage_error(&["sweep-worker", "-j0"], "at least 1");
+}
+
+#[test]
+fn nonsense_scale_is_rejected_everywhere() {
+    // NaN and negative scales used to run the minimum sizes and exit 0; an
+    // infinite one never finished. Each case below stops at the scale
+    // check before any run could start, so `inf` is safe to try here.
+    let needle = "--scale: must be a finite number greater than 0";
+    for bad in ["-1", "0", "nan", "inf"] {
+        assert_usage_error(&["--scale", bad], needle);
+        assert_usage_error(&["record", "--scale", bad], needle);
+        assert_usage_error(&["explain", "--scale", bad], needle);
+        assert_usage_error(&["export-metrics", "--scale", bad], needle);
+        assert_usage_error(&["sweep", "--scale", bad], needle);
+        assert_usage_error(&["serve", "--scale", bad], needle);
+        assert_usage_error(&["serve-client", "--scale", bad], needle);
+    }
+    assert_usage_error(&["--scale", "-1", "fig1"], needle);
+    assert_usage_error(&["--scale", "nan", "fig1"], needle);
+}
+
+#[test]
+fn only_one_stdout_sink() {
+    // A JSON report and an NDJSON stream on one stdout parse as neither.
+    assert_usage_error(
+        &[
+            "fig1",
+            "--scale",
+            "0.01",
+            "--json",
+            "-",
+            "--live-metrics",
+            "-",
+        ],
+        "both write to stdout",
+    );
+    assert_usage_error(
+        &[
+            "sweep",
+            "--grid",
+            "order=4;bench=gcc",
+            "--dry-run",
+            "--out",
+            "-",
+            "--live-metrics",
+            "-",
+        ],
+        "both write to stdout",
     );
 }
