@@ -5,7 +5,7 @@ use crate::MAX_ORDER;
 /// Identifies one slot of a [`GlobalValueQueue`] for later patching.
 ///
 /// Slot ids are monotonically increasing sequence numbers, so they stay
-/// meaningful even after the ring buffer wraps; a stale id (older than the
+/// meaningful even after the buffer wraps; a stale id (older than the
 /// queue's window) is simply rejected by [`GlobalValueQueue::patch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SlotId(u64);
@@ -17,7 +17,7 @@ impl SlotId {
     }
 }
 
-/// The global value queue: a fixed-order ring of the most recent values
+/// The global value queue: a fixed-order window of the most recent values
 /// produced by the dynamic instruction stream.
 ///
 /// One structure serves all three of the paper's queue disciplines — what
@@ -36,6 +36,16 @@ impl SlotId {
 /// slot — the form the HGVQ needs, because an instruction's correlation
 /// distances are anchored at its own dispatch position.
 ///
+/// # Layout
+///
+/// The values live in one *distance-ordered, mirrored* buffer of
+/// `2 × order` lanes. A push moves the head position `pos` down by one
+/// (wrapping at zero) and writes the value at `pos` and at `pos + order`,
+/// so the value `k` pushes back always sits at `buf[pos + k − 1]`: every
+/// window of up to `order` distances is one contiguous slice, whatever the
+/// wrap point. [`window`](Self::window) is a single `copy_from_slice`, and
+/// no read does wrap arithmetic.
+///
 /// # Examples
 ///
 /// ```
@@ -51,20 +61,24 @@ impl SlotId {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GlobalValueQueue {
-    values: Vec<u64>,
-    valid: Vec<bool>,
+    /// `2 × order` lanes: distance `k` at `buf[pos + k − 1]`, each value
+    /// stored at a physical lane `p < order` and mirrored at `p + order`.
+    buf: Vec<u64>,
+    /// Lane of the most recent value (distance 1), in `0..order`.
+    pos: usize,
+    order: usize,
     head: u64,
-    /// `head % values.len()`, cached so the per-value push never divides.
-    head_idx: usize,
     /// Validity of the 64 most recent slots, *distance*-indexed: bit
     /// `k - 1` is set when the slot `k` values behind the head holds a
-    /// resolved value. Shifted left on every push and patched alongside
-    /// `valid`, it hands [`window`](Self::window) its whole availability
-    /// mask in one AND — no per-lane `valid` loads — and is exact for any
-    /// head-distance ≤ 64 ([`MAX_ORDER`], the widest any consumer reads).
-    /// `valid` remains the source of truth for the wider distances only an
-    /// over-`MAX_ORDER` queue can reach.
+    /// resolved value. Shifted left on every push and set by `patch`, it
+    /// hands [`window`](Self::window) its whole availability mask in one
+    /// AND, and is exact for any distance ≤ 64 ([`MAX_ORDER`], the widest
+    /// any consumer reads).
     valid_bits: u64,
+    /// Per-lane validity, laid out and mirrored like `buf`, kept only by a
+    /// queue whose order exceeds 64 — the one case with distances
+    /// `valid_bits` cannot answer. Empty otherwise.
+    valid: Vec<bool>,
 }
 
 impl GlobalValueQueue {
@@ -78,18 +92,20 @@ impl GlobalValueQueue {
     /// Panics if `order` is zero.
     pub fn new(order: usize) -> Self {
         assert!(order > 0, "queue order must be nonzero");
+        let valid_lanes = if order > 64 { 2 * order } else { 0 };
         GlobalValueQueue {
-            values: vec![0; order],
-            valid: vec![false; order],
+            buf: vec![0; 2 * order],
+            pos: 0,
+            order,
             head: 0,
-            head_idx: 0,
             valid_bits: 0,
+            valid: vec![false; valid_lanes],
         }
     }
 
     /// The queue order (capacity).
     pub fn order(&self) -> usize {
-        self.values.len()
+        self.order
     }
 
     /// Total number of slots ever claimed.
@@ -117,21 +133,22 @@ impl GlobalValueQueue {
 
     #[inline]
     fn push_slot(&mut self, value: Option<u64>) -> SlotId {
-        let idx = self.head_idx;
-        match value {
-            Some(v) => {
-                self.values[idx] = v;
-                self.valid[idx] = true;
-            }
-            None => self.valid[idx] = false,
+        if self.pos == 0 {
+            self.pos = self.order;
+        }
+        self.pos -= 1;
+        let (lane, mirror) = (self.pos, self.pos + self.order);
+        if let Some(v) = value {
+            self.buf[lane] = v;
+            self.buf[mirror] = v;
+        }
+        if !self.valid.is_empty() {
+            self.valid[lane] = value.is_some();
+            self.valid[mirror] = value.is_some();
         }
         self.valid_bits = (self.valid_bits << 1) | u64::from(value.is_some());
         let id = SlotId(self.head);
         self.head += 1;
-        self.head_idx += 1;
-        if self.head_idx == self.values.len() {
-            self.head_idx = 0;
-        }
         id
     }
 
@@ -144,11 +161,18 @@ impl GlobalValueQueue {
             return false;
         }
         let dist = (self.head - slot.0) as usize;
-        let idx = self
-            .index_back(dist)
-            .expect("contains() bounds the distance");
-        self.values[idx] = value;
-        self.valid[idx] = true;
+        let lane = self.pos + dist - 1;
+        let mirror = if lane >= self.order {
+            lane - self.order
+        } else {
+            lane + self.order
+        };
+        self.buf[lane] = value;
+        self.buf[mirror] = value;
+        if !self.valid.is_empty() {
+            self.valid[lane] = true;
+            self.valid[mirror] = true;
+        }
         if dist <= 64 {
             self.valid_bits |= 1 << (dist - 1);
         }
@@ -157,7 +181,7 @@ impl GlobalValueQueue {
 
     /// Whether `slot` is still inside the queue window.
     pub fn contains(&self, slot: SlotId) -> bool {
-        slot.0 < self.head && self.head - slot.0 <= self.values.len() as u64
+        slot.0 < self.head && self.head - slot.0 <= self.order as u64
     }
 
     /// The value produced `k` values ago (`k = 1` is the most recent).
@@ -166,23 +190,18 @@ impl GlobalValueQueue {
     /// first push, or lands on an unpatched empty slot.
     #[inline]
     pub fn back(&self, k: usize) -> Option<u64> {
-        // One folded reach test (order and values-pushed-so-far at once)
-        // keeps the per-distance closure paths lean.
-        let reach = (self.values.len() as u64).min(self.head);
+        // One folded reach test: order and values-pushed-so-far at once.
+        let reach = (self.order as u64).min(self.head);
         if k == 0 || k as u64 > reach {
             return None;
         }
-        let idx = if self.head_idx >= k {
-            self.head_idx - k
-        } else {
-            self.head_idx + self.values.len() - k
-        };
+        let lane = self.pos + k - 1;
         let live = if k <= 64 {
             (self.valid_bits >> (k - 1)) & 1 != 0
         } else {
-            self.valid[idx]
+            self.valid[lane]
         };
-        live.then(|| self.values[idx])
+        live.then(|| self.buf[lane])
     }
 
     /// The value `k` slots before `slot` (not counting `slot` itself).
@@ -192,42 +211,16 @@ impl GlobalValueQueue {
     pub fn back_from(&self, slot: SlotId, k: usize) -> Option<u64> {
         let seq = slot.0.checked_sub(k as u64)?;
         // The referenced slot must still be within the window *now*.
-        self.value_at_seq(seq, (self.head - seq) as usize)
+        self.back((self.head - seq) as usize)
     }
 
-    fn value_at_seq(&self, _seq: u64, dist_from_head: usize) -> Option<u64> {
-        let idx = self.index_back(dist_from_head)?;
-        let live = if dist_from_head <= 64 {
-            (self.valid_bits >> (dist_from_head - 1)) & 1 != 0
-        } else {
-            self.valid[idx]
-        };
-        live.then(|| self.values[idx])
-    }
-
-    /// Ring index of the slot `dist` values behind the head, derived from
-    /// the cached `head_idx` — a compare and subtract, never a division
-    /// (the `seq % len` form costs an integer divide per queue read).
-    #[inline]
-    fn index_back(&self, dist: usize) -> Option<usize> {
-        if dist == 0 || dist > self.values.len() {
-            return None;
-        }
-        Some(if self.head_idx >= dist {
-            self.head_idx - dist
-        } else {
-            self.head_idx + self.values.len() - dist
-        })
-    }
-
-    /// Reads the whole head-anchored window in one pass over the ring:
-    /// `out[k - 1]` receives the value [`back`](Self::back)`(k)` would
-    /// return and bit `k - 1` of the returned mask is set when that slot is
-    /// resolved.
+    /// Reads the whole head-anchored window: `out[k - 1]` receives the
+    /// value [`back`](Self::back)`(k)` would return and bit `k - 1` of the
+    /// returned mask is set when that slot is resolved.
     ///
     /// This is the batched form of `back` the per-completion hot path uses:
-    /// one index computation and a sequential backwards walk replace one
-    /// ring-index division per distance.
+    /// the distances are contiguous in the mirrored buffer, so the read is
+    /// one slice copy and one mask.
     ///
     /// # `MAX_ORDER` alignment
     ///
@@ -235,89 +228,64 @@ impl GlobalValueQueue {
     /// [`GDiffCore`](crate::GDiffCore) can consume, matching the `u64`
     /// availability mask): a queue of a larger order exposes only its
     /// `MAX_ORDER` most recent values through this API. Lanes whose mask
-    /// bit is clear are left untouched and carry unspecified values —
-    /// consumers must gate every lane on the mask, exactly as
+    /// bit is clear carry unspecified values — consumers must gate every
+    /// lane on the mask, exactly as
     /// [`GDiffCore::update_from_window`](crate::GDiffCore::update_from_window)
     /// does.
     #[inline]
     pub fn window(&self, out: &mut [u64; MAX_ORDER]) -> u64 {
-        let len = self.values.len();
-        let n = len
+        let n = self
+            .order
             .min(MAX_ORDER)
             .min(self.head.min(MAX_ORDER as u64) as usize);
+        self.fill_window(0, n, out)
+    }
+
+    /// Copies the `n` lanes at head-distances `gap + 1 ..= gap + n` into
+    /// `out[..n]` and returns their availability mask.
+    ///
+    /// The mask comes from `valid_bits` in one shift-and-mask whenever the
+    /// bitmap covers every referenced distance (always, except an
+    /// over-64-order queue read from a stale anchor).
+    #[inline]
+    fn fill_window(&self, gap: usize, n: usize, out: &mut [u64; MAX_ORDER]) -> u64 {
         if n == 0 {
             return 0;
         }
-        // Index of the newest value (distance 1), then walk backwards.
-        let idx1 = if self.head_idx == 0 {
-            len - 1
-        } else {
-            self.head_idx - 1
-        };
-        self.fill_window(idx1, 0, n, out)
-    }
-
-    /// Copies `n` lanes into `out`, walking the ring backwards from index
-    /// `idx1` (the distance-1 slot, at head-distance `shift + 1`), wrapping
-    /// branchlessly. A fixed-shape walk beats splitting into contiguous
-    /// segment copies here: the split point moves every push, so segmented
-    /// loops pay a mispredicted trip-count change per call on exactly the
-    /// hot, small-order queues.
-    ///
-    /// Availability comes from `valid_bits` in one shift-and-mask whenever
-    /// the bitmap covers every referenced head-distance (always, except an
-    /// over-64-order queue read from a stale anchor).
-    #[inline]
-    fn fill_window(&self, idx1: usize, shift: usize, n: usize, out: &mut [u64; MAX_ORDER]) -> u64 {
-        let len = self.values.len();
-        let mut idx = idx1;
-        if shift + n <= 64 {
-            for lane in out.iter_mut().take(n) {
-                *lane = self.values[idx];
-                idx = if idx == 0 { len - 1 } else { idx - 1 };
-            }
+        let start = self.pos + gap;
+        out[..n].copy_from_slice(&self.buf[start..start + n]);
+        if gap + n <= 64 {
             let mask = if n == 64 { u64::MAX } else { (1 << n) - 1 };
-            (self.valid_bits >> shift) & mask
+            (self.valid_bits >> gap) & mask
         } else {
-            let mut avail = 0u64;
-            for (k, lane) in out.iter_mut().enumerate().take(n) {
-                *lane = self.values[idx];
-                avail |= u64::from(self.valid[idx]) << k;
-                idx = if idx == 0 { len - 1 } else { idx - 1 };
-            }
-            avail
+            self.valid[start..start + n]
+                .iter()
+                .enumerate()
+                .fold(0, |avail, (k, &live)| avail | (u64::from(live) << k))
         }
     }
 
-    /// Reads the window anchored at `slot` in one pass: `out[k - 1]`
-    /// receives the value [`back_from`](Self::back_from)`(slot, k)` would
-    /// return, with the same availability-mask contract (and the same
-    /// [`MAX_ORDER`] clamp) as [`window`](Self::window).
+    /// Reads the window anchored at `slot`: `out[k - 1]` receives the value
+    /// [`back_from`](Self::back_from)`(slot, k)` would return, with the
+    /// same availability-mask contract (and the same [`MAX_ORDER`] clamp)
+    /// as [`window`](Self::window).
     ///
     /// Distances reaching before the first push, or whose referenced slot
     /// has already left the queue window *now*, read as unavailable — the
     /// HGVQ write-back semantics.
     #[inline]
     pub fn window_from(&self, slot: SlotId, out: &mut [u64; MAX_ORDER]) -> u64 {
-        let len = self.values.len();
         let Some(gap) = self.head.checked_sub(slot.0) else {
             return 0;
         };
         // Distance k from `slot` sits at head-distance gap + k: usable
-        // while gap + k <= len (still in the window) and k <= slot.0
+        // while gap + k <= order (still in the window) and k <= slot.0
         // (after the first push).
-        let n = (len as u64)
+        let n = (self.order as u64)
             .saturating_sub(gap)
             .min(slot.0)
             .min(MAX_ORDER as u64) as usize;
-        if n == 0 {
-            return 0;
-        }
-        // Distance 1 from the anchor is gap + 1 values behind the head.
-        let idx1 = self
-            .index_back(gap as usize + 1)
-            .expect("n >= 1 bounds the anchor distance");
-        self.fill_window(idx1, gap as usize, n, out)
+        self.fill_window(gap as usize, n, out)
     }
 
     /// Iterates over the resident values, most recent first (`None` for

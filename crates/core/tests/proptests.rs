@@ -1,8 +1,74 @@
 //! Property-based tests for the gDiff core invariants.
 
-use gdiff::{GDiffCore, GDiffPredictor, GlobalValueQueue, HgvqPredictor, SgvqPredictor, MAX_ORDER};
+use std::collections::VecDeque;
+
+use gdiff::{
+    GDiffCore, GDiffPredictor, GlobalValueQueue, HgvqPredictor, SgvqPredictor, SlotId, MAX_ORDER,
+};
 use predictors::{Capacity, ValuePredictor};
 use proptest::prelude::*;
+
+/// Checks every read of `q` against `model`, the resident slots newest
+/// first (`None` for an unresolved slot), anchoring the slot-relative reads
+/// at each slot in `anchors`.
+fn check_queue_reads(q: &GlobalValueQueue, model: &VecDeque<Option<u64>>, anchors: &[SlotId]) {
+    let order = q.order();
+    // Distance `d` from the head: 1-based, inside the window and pushed.
+    let at = |d: u64| -> Option<u64> {
+        if d == 0 || d > model.len() as u64 {
+            None
+        } else {
+            model[d as usize - 1]
+        }
+    };
+    for k in 0..=order + 2 {
+        prop_assert_eq!(q.back(k), at(k as u64), "back({})", k);
+    }
+    let mut w = [0u64; MAX_ORDER];
+    let avail = q.window(&mut w);
+    for k in 1..=MAX_ORDER {
+        let expect = at(k as u64);
+        prop_assert_eq!(
+            (avail >> (k - 1)) & 1 != 0,
+            expect.is_some(),
+            "window mask k={}",
+            k
+        );
+        if let Some(v) = expect {
+            prop_assert_eq!(w[k - 1], v, "window lane k={}", k);
+        }
+    }
+    for &slot in anchors {
+        // `back_from(slot, k)` reads the slot `k` pushes older than `slot`.
+        let from = |k: u64| {
+            let seq = slot.sequence().checked_sub(k)?;
+            at(q.pushed() - seq)
+        };
+        for k in 0..=order + 2 {
+            prop_assert_eq!(
+                q.back_from(slot, k),
+                from(k as u64),
+                "back_from({:?}, {})",
+                slot,
+                k
+            );
+        }
+        let avail = q.window_from(slot, &mut w);
+        for k in 1..=MAX_ORDER {
+            let expect = from(k as u64);
+            prop_assert_eq!(
+                (avail >> (k - 1)) & 1 != 0,
+                expect.is_some(),
+                "window_from({:?}) mask k={}",
+                slot,
+                k
+            );
+            if let Some(v) = expect {
+                prop_assert_eq!(w[k - 1], v, "window_from({:?}) lane k={}", slot, k);
+            }
+        }
+    }
+}
 
 proptest! {
     /// The queue reports exactly the last `order` pushed values, most
@@ -20,6 +86,52 @@ proptest! {
                 None
             };
             prop_assert_eq!(q.back(k), expected, "k={}", k);
+        }
+    }
+
+    /// Random interleavings of `push`, `push_empty` and `patch` (stale
+    /// slots included) on queues up to `MAX_ORDER + 8`: after every step,
+    /// `back`, `back_from`, `window` and `window_from` agree with a
+    /// `VecDeque` of the resident slots, values and exact masks alike —
+    /// including the distances beyond 64 that only an over-`MAX_ORDER`
+    /// queue reaches.
+    #[test]
+    fn queue_ops_match_deque_model(
+        order in 1usize..MAX_ORDER + 9,
+        ops in prop::collection::vec((0u8..4, any::<u64>(), 0usize..MAX_ORDER + 24), 0..240),
+    ) {
+        let mut q = GlobalValueQueue::new(order);
+        let mut model: VecDeque<Option<u64>> = VecDeque::new();
+        let mut slots: Vec<SlotId> = Vec::new();
+        for (op, v, back) in ops {
+            // A slot `back` pushes behind the newest; past the order it is
+            // stale (or was never pushed, and then the newest is used).
+            let pick = slots.len().checked_sub(back + 1).map(|i| slots[i]).or(slots.last().copied());
+            match op {
+                0 | 1 => {
+                    slots.push(q.push(v));
+                    model.push_front(Some(v));
+                }
+                2 => {
+                    slots.push(q.push_empty());
+                    model.push_front(None);
+                }
+                _ => {
+                    if let Some(slot) = pick {
+                        let dist = (q.pushed() - slot.sequence()) as usize;
+                        let live = dist <= order;
+                        prop_assert_eq!(q.patch(slot, v), live, "patch at distance {}", dist);
+                        if live {
+                            model[dist - 1] = Some(v);
+                        }
+                    }
+                }
+            }
+            model.truncate(order);
+            let newest = slots.last().copied();
+            let oldest_live = slots.len().checked_sub(order).map(|i| slots[i]);
+            let anchors: Vec<SlotId> = [newest, pick, oldest_live].into_iter().flatten().collect();
+            check_queue_reads(&q, &model, &anchors);
         }
     }
 

@@ -198,10 +198,17 @@ pub fn finite(flag: &str, v: &str, ok: fn(f64) -> bool, what: &str) -> Result<f6
     Ok(x)
 }
 
-/// A `--scale` run-size multiplier: finite and above 0 (a NaN or negative
-/// scale would silently run the minimum sizes, an infinite one never ends).
+/// A `--scale` run-size multiplier: finite, above 0, and small enough that
+/// the scaled run sizes fit a `u64` (a NaN or negative scale would silently
+/// run the minimum sizes, a saturating one never ends).
 pub fn scale(flag: &str, v: &str) -> Result<f64, String> {
-    finite(flag, v, |x| x > 0.0, "a finite number greater than 0")
+    let x = finite(flag, v, |x| x > 0.0, "a finite number greater than 0")?;
+    if !crate::RunParams::scale_fits(x) {
+        return Err(format!(
+            "{flag}: {v} is too large (the scaled run sizes overflow)"
+        ));
+    }
+    Ok(x)
 }
 
 /// A journal level name (`debug`, `info`, `warn`, `error`).
@@ -278,6 +285,10 @@ mod tests {
             assert!(scale("--scale", bad)
                 .unwrap_err()
                 .contains("greater than 0"));
+        }
+        assert!(scale("--scale", "1e12").is_ok());
+        for huge in ["1e13", "1e300"] {
+            assert!(scale("--scale", huge).unwrap_err().contains("too large"));
         }
         assert!(level("--level", "loud")
             .unwrap_err()

@@ -115,6 +115,16 @@ impl RunParams {
         }
     }
 
+    /// Whether `f` scales every default run size to one that fits a `u64`
+    /// (the upper bound of `--scale`): past it [`scaled`](Self::scaled)
+    /// saturates the sizes and the run never ends.
+    pub fn scale_fits(f: f64) -> bool {
+        let largest = Self::profile_default()
+            .measure
+            .max(Self::pipeline_default().measure);
+        largest as f64 * f < u64::MAX as f64
+    }
+
     /// Scales both phases by `f` (command-line `--scale`).
     pub fn scaled(self, f: f64) -> Self {
         RunParams {

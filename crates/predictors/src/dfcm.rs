@@ -1,13 +1,14 @@
 //! Differential finite context method (DFCM) — the paper's "local context"
 //! predictor.
 
-use crate::fcm::fold_history;
+use crate::fcm::{check_shape, ContextWindow};
 use crate::{Capacity, PcTable, ValuePredictor};
 
 #[derive(Debug, Clone, Default)]
 struct DfcmEntry {
     last: Option<u64>,
-    strides: Vec<i64>,
+    /// The last `order` strides, as two's-complement `u64`s.
+    strides: ContextWindow,
 }
 
 /// The differential FCM predictor of Goeman, Vandierendonck and De Bosschere
@@ -22,7 +23,9 @@ struct DfcmEntry {
 /// same stride pattern, which is why DFCM beats FCM at equal table sizes.
 ///
 /// The paper configures DFCM with an 8K-entry level-1 table and a 64K-entry
-/// level-2 table.
+/// level-2 table. The order is bounded by
+/// [`MAX_CONTEXT`](crate::MAX_CONTEXT): each level-1 entry holds its stride
+/// context inline, with the level-2 index folded once per update.
 ///
 /// # Examples
 ///
@@ -54,13 +57,11 @@ impl DfcmPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if `order` is zero or `l2_bits` is not in `1..=32`.
+    /// Panics if `order` is zero or above
+    /// [`MAX_CONTEXT`](crate::MAX_CONTEXT), or `l2_bits` is not in
+    /// `1..=32`.
     pub fn new(l1_capacity: Capacity, order: usize, l2_bits: u32) -> Self {
-        assert!(order > 0, "context order must be nonzero");
-        assert!(
-            (1..=32).contains(&l2_bits),
-            "level-2 bits must be in 1..=32"
-        );
+        check_shape(order, l2_bits);
         DfcmPredictor {
             l1: PcTable::new(l1_capacity),
             l2: vec![None; 1usize << l2_bits],
@@ -79,40 +80,24 @@ impl DfcmPredictor {
     pub fn order(&self) -> usize {
         self.order
     }
-
-    fn index_of(strides: &[i64], l2_bits: u32) -> usize {
-        let as_u64: Vec<u64> = strides.iter().map(|&s| s as u64).collect();
-        fold_history(&as_u64, l2_bits) as usize
-    }
 }
 
 impl ValuePredictor for DfcmPredictor {
     fn predict(&mut self, pc: u64) -> Option<u64> {
-        let order = self.order;
-        let l2_bits = self.l2_bits;
         let e = self.l1.entry_shared(pc);
         let last = e.last?;
-        if e.strides.len() < order {
-            return None;
-        }
-        let idx = Self::index_of(&e.strides, l2_bits);
+        let idx = e.strides.index(self.order)?;
         self.l2[idx].map(|stride| last.wrapping_add(stride as u64))
     }
 
     fn update(&mut self, pc: u64, actual: u64) {
-        let order = self.order;
-        let l2_bits = self.l2_bits;
         let e = self.l1.entry_shared(pc);
         if let Some(last) = e.last {
-            let stride = actual.wrapping_sub(last) as i64;
-            if e.strides.len() >= order {
-                let idx = Self::index_of(&e.strides, l2_bits);
-                self.l2[idx] = Some(stride);
+            let stride = actual.wrapping_sub(last);
+            if let Some(idx) = e.strides.index(self.order) {
+                self.l2[idx] = Some(stride as i64);
             }
-            e.strides.push(stride);
-            if e.strides.len() > order {
-                e.strides.remove(0);
-            }
+            e.strides.push(stride, self.order, self.l2_bits);
         }
         e.last = Some(actual);
     }
@@ -184,6 +169,12 @@ mod tests {
             assert_eq!(p.predict(0), None);
             p.update(0, v);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_CONTEXT")]
+    fn order_above_max_context_rejected() {
+        let _ = DfcmPredictor::new(Capacity::Unbounded, crate::MAX_CONTEXT + 1, 16);
     }
 
     #[test]

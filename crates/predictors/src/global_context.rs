@@ -68,8 +68,7 @@ impl GlobalContextPredictor {
         if self.history.len() < self.order {
             return None;
         }
-        let h: Vec<u64> = self.history.iter().copied().collect();
-        Some(fold_history(&h, self.hash_bits))
+        Some(fold_history(self.history.iter().copied(), self.hash_bits))
     }
 }
 

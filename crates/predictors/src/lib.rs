@@ -64,7 +64,7 @@ mod table;
 
 pub use confidence::{ConfidenceConfig, ConfidenceTable, GatedPrediction, GatedPredictor};
 pub use dfcm::DfcmPredictor;
-pub use fcm::FcmPredictor;
+pub use fcm::{FcmPredictor, MAX_CONTEXT};
 pub use global_context::GlobalContextPredictor;
 pub use hybrid::{HybridChoice, HybridPredictor};
 pub use last_value::{LastNValuePredictor, LastValuePredictor};

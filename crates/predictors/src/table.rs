@@ -22,6 +22,11 @@
 //! slot writes a tag and a bit, never a payload. [`PcTable::geometry`]
 //! reports the resulting memory footprint.
 //!
+//! Payloads are fixed-size: a gDiff entry holds at most `gdiff::MAX_ORDER`
+//! differences and an FCM/DFCM entry at most [`MAX_CONTEXT`](crate::MAX_CONTEXT)
+//! context items, inline. Once an entry exists, predict and update touch
+//! no heap memory.
+//!
 //! # Hashing
 //!
 //! The unbounded table is a `HashMap` keyed by PC, and serve clients choose

@@ -3,11 +3,149 @@
 use std::collections::BTreeMap;
 
 use predictors::{
-    Capacity, ConfidenceConfig, ConfidenceTable, DfcmPredictor, LastValuePredictor, MarkovConfig,
-    MarkovPredictor, PcTable, PredictorStats, StridePredictor, ValuePredictor,
+    Capacity, ConfidenceConfig, ConfidenceTable, DfcmPredictor, FcmPredictor, LastValuePredictor,
+    MarkovConfig, MarkovPredictor, PcTable, PredictorStats, StridePredictor, ValuePredictor,
+    MAX_CONTEXT,
 };
 use proptest::prelude::*;
 use workloads::{Benchmark, SyntheticSource, TraceSource};
+
+/// FCM and DFCM as they were first written: each level-1 entry keeps its
+/// context in a `Vec` and the context is re-hashed on every predict and
+/// update. This is the equivalence oracle for the inline-context
+/// [`FcmPredictor`] and [`DfcmPredictor`], as `gdiff::reference` is for
+/// the gDiff core.
+mod reference {
+    use predictors::{Capacity, PcTable};
+
+    fn fold_history(history: &[u64], bits: u32) -> u64 {
+        let mut h: u64 = 0;
+        for &v in history {
+            let mixed = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            h = h.rotate_left(bits.max(5)) ^ mixed;
+        }
+        let mut x = h;
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        x ^= x >> 33;
+        x & ((1u64 << bits) - 1)
+    }
+
+    pub struct Fcm {
+        l1: PcTable<Vec<u64>>,
+        l2: Vec<Option<u64>>,
+        order: usize,
+        l2_bits: u32,
+    }
+
+    impl Fcm {
+        pub fn new(l1: Capacity, order: usize, l2_bits: u32) -> Self {
+            Fcm {
+                l1: PcTable::new(l1),
+                l2: vec![None; 1 << l2_bits],
+                order,
+                l2_bits,
+            }
+        }
+
+        fn context_index(&mut self, pc: u64) -> Option<usize> {
+            let history = self.l1.entry_shared(pc);
+            (history.len() >= self.order).then(|| fold_history(history, self.l2_bits) as usize)
+        }
+
+        pub fn predict(&mut self, pc: u64) -> Option<u64> {
+            let idx = self.context_index(pc)?;
+            self.l2[idx]
+        }
+
+        pub fn update(&mut self, pc: u64, actual: u64) {
+            if let Some(idx) = self.context_index(pc) {
+                self.l2[idx] = Some(actual);
+            }
+            let history = self.l1.entry_shared(pc);
+            history.push(actual);
+            if history.len() > self.order {
+                history.remove(0);
+            }
+        }
+    }
+
+    #[derive(Debug, Clone, Default)]
+    struct DfcmEntry {
+        last: Option<u64>,
+        strides: Vec<i64>,
+    }
+
+    pub struct Dfcm {
+        l1: PcTable<DfcmEntry>,
+        l2: Vec<Option<i64>>,
+        order: usize,
+        l2_bits: u32,
+    }
+
+    impl Dfcm {
+        pub fn new(l1: Capacity, order: usize, l2_bits: u32) -> Self {
+            Dfcm {
+                l1: PcTable::new(l1),
+                l2: vec![None; 1 << l2_bits],
+                order,
+                l2_bits,
+            }
+        }
+
+        fn index_of(strides: &[i64], l2_bits: u32) -> usize {
+            let as_u64: Vec<u64> = strides.iter().map(|&s| s as u64).collect();
+            fold_history(&as_u64, l2_bits) as usize
+        }
+
+        pub fn predict(&mut self, pc: u64) -> Option<u64> {
+            let e = self.l1.entry_shared(pc);
+            let last = e.last?;
+            if e.strides.len() < self.order {
+                return None;
+            }
+            let idx = Self::index_of(&e.strides, self.l2_bits);
+            self.l2[idx].map(|stride| last.wrapping_add(stride as u64))
+        }
+
+        pub fn update(&mut self, pc: u64, actual: u64) {
+            let e = self.l1.entry_shared(pc);
+            if let Some(last) = e.last {
+                let stride = actual.wrapping_sub(last) as i64;
+                if e.strides.len() >= self.order {
+                    let idx = Self::index_of(&e.strides, self.l2_bits);
+                    self.l2[idx] = Some(stride);
+                }
+                e.strides.push(stride);
+                if e.strides.len() > self.order {
+                    e.strides.remove(0);
+                }
+            }
+            e.last = Some(actual);
+        }
+    }
+}
+
+/// The capacity a `0..4` test parameter selects: unbounded, or a tagless
+/// table of 1, 4 or 16 entries small enough that PCs alias.
+fn capacity(pick: usize) -> Capacity {
+    match pick {
+        0 => Capacity::Unbounded,
+        n => Capacity::Entries(1 << (2 * (n - 1))),
+    }
+}
+
+#[test]
+#[should_panic(expected = "exceeds MAX_CONTEXT")]
+fn dfcm_order_above_max_context_panics() {
+    let _ = DfcmPredictor::new(Capacity::Unbounded, MAX_CONTEXT + 1, 16);
+}
+
+#[test]
+#[should_panic(expected = "exceeds MAX_CONTEXT")]
+fn fcm_order_above_max_context_panics() {
+    let _ = FcmPredictor::new(Capacity::Unbounded, MAX_CONTEXT + 1, 16);
+}
 
 /// Stride and DFCM stats over the first producers of `Benchmark::ALL[0]`,
 /// on unbounded tables built (and so keyed) by the calling thread.
@@ -179,6 +317,41 @@ proptest! {
             }
         }
         prop_assert_eq!(wrong_late, 0);
+    }
+
+    /// FCM and DFCM predict exactly what the `Vec`-context reference
+    /// predicts, for every order up to `MAX_CONTEXT`, on unbounded and
+    /// aliasing tables and small level-2 tables. Values mix a small
+    /// alphabet (contexts repeat), per-PC strides and noise; one op in four
+    /// predicts without updating.
+    #[test]
+    fn context_predictors_match_vec_reference(
+        order in 1usize..MAX_CONTEXT + 1,
+        table in 0usize..4,
+        l2_bits in 1u32..12,
+        ops in prop::collection::vec((0u64..12, 0u8..4, 0u64..6, any::<u64>()), 0..400),
+    ) {
+        let cap = capacity(table);
+        let mut fcm = FcmPredictor::new(cap, order, l2_bits);
+        let mut fcm_ref = reference::Fcm::new(cap, order, l2_bits);
+        let mut dfcm = DfcmPredictor::new(cap, order, l2_bits);
+        let mut dfcm_ref = reference::Dfcm::new(cap, order, l2_bits);
+        for (i, (pc, kind, small, noise)) in ops.into_iter().enumerate() {
+            let pc = 0x40 + pc * 4;
+            let v = match kind {
+                0 => small * 7,
+                1 => pc.wrapping_mul(i as u64 + 1).wrapping_add(small),
+                _ => noise,
+            };
+            prop_assert_eq!(fcm.predict(pc), fcm_ref.predict(pc), "fcm op {}", i);
+            prop_assert_eq!(dfcm.predict(pc), dfcm_ref.predict(pc), "dfcm op {}", i);
+            if kind != 3 {
+                fcm.update(pc, v);
+                fcm_ref.update(pc, v);
+                dfcm.update(pc, v);
+                dfcm_ref.update(pc, v);
+            }
+        }
     }
 
     /// Predictors never panic on arbitrary update/predict interleavings.

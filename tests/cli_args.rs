@@ -341,6 +341,18 @@ fn nonsense_scale_is_rejected_everywhere() {
 }
 
 #[test]
+fn saturating_scale_is_rejected() {
+    // A finite scale this large used to saturate the run sizes to
+    // `u64::MAX`, and the run never ended. The check runs at parse time, so
+    // no run starts here.
+    let needle = "--scale: 1e300 is too large";
+    assert_usage_error(&["--scale", "1e300", "fig1"], needle);
+    assert_usage_error(&["record", "--scale", "1e300"], needle);
+    assert_usage_error(&["sweep", "--scale", "1e300"], needle);
+    assert_usage_error(&["serve", "--scale", "1e300"], needle);
+}
+
+#[test]
 fn only_one_stdout_sink() {
     // A JSON report and an NDJSON stream on one stdout parse as neither.
     assert_usage_error(
