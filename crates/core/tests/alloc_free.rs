@@ -7,11 +7,17 @@
 //! watched. Any allocation on that path is a per-producer cost the
 //! inline-array designs (`MAX_ORDER` differences, `MAX_CONTEXT` contexts,
 //! the mirrored queue window) exist to avoid.
+//!
+//! The gDiff q8 loop is also checked with every live telemetry tap armed
+//! (the `--timeline --live-metrics` configuration): the taps sit at cell
+//! and phase granularity, so one leaking into the per-producer path shows
+//! up here as an allocation.
 
 use gdiff::GDiffPredictor;
 use predictors::{Capacity, DfcmPredictor, StridePredictor, ValuePredictor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::time::Duration;
 
 /// System allocator wrapper counting the allocations made by the calling
 /// thread, so tests running in parallel do not see each other's.
@@ -97,6 +103,24 @@ fn measured_allocations(p: &mut dyn ValuePredictor) -> u64 {
 fn gdiff_q8_steps_do_not_allocate() {
     let mut p = GDiffPredictor::new(Capacity::Unbounded, 8);
     assert_eq!(measured_allocations(&mut p), 0);
+}
+
+#[test]
+fn gdiff_q8_steps_do_not_allocate_with_telemetry_armed() {
+    // The sampler's hour-long interval keeps its ticks out of the window;
+    // its thread's allocations are not counted here in any case.
+    obs::timeline::enable(1024);
+    let sampler = obs::Sampler::start(
+        obs::SharedRegistry::new(),
+        Duration::from_secs(3600),
+        16,
+        None,
+    );
+    let mut p = GDiffPredictor::new(Capacity::Unbounded, 8);
+    let allocs = measured_allocations(&mut p);
+    sampler.stop();
+    obs::timeline::disable();
+    assert_eq!(allocs, 0);
 }
 
 #[test]

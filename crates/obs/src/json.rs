@@ -3,10 +3,15 @@
 //! The workspace has no serde (the build environment is offline), so run
 //! reports are built as [`JsonValue`] trees and rendered by hand. The
 //! parser exists so tests can round-trip reports and so downstream tools
-//! built in this workspace can read `BENCH_*.json` trajectory files.
+//! built in this workspace can read the committed `BENCH_baseline.json`.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
+/// recurses once per level, so the bound keeps a hostile document from
+/// overflowing the stack; the deepest report (`explain`) nests 8 levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 ///
@@ -165,6 +170,7 @@ impl JsonValue {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -225,6 +231,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -269,12 +277,27 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => self.nested(),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// An array or object one level deeper, refused at the opening
+    /// bracket past [`MAX_DEPTH`].
+    fn nested(&mut self) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = if self.peek() == Some(b'[') {
+            self.array()
+        } else {
+            self.object()
+        };
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<JsonValue, JsonError> {
@@ -531,6 +554,23 @@ mod tests {
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let deepest = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(JsonValue::parse(&deepest).is_ok());
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH + 1);
+        let err = JsonValue::parse(&objects).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH * 5);
+        // A million open brackets on a default-size thread stack: refused
+        // at the first bracket past the bound, not a stack overflow.
+        let err = std::thread::spawn(|| JsonValue::parse(&"[".repeat(1_000_000)))
+            .join()
+            .expect("parser thread survives")
+            .unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nested deeper"), "{err}");
     }
 
     #[test]

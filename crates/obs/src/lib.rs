@@ -41,6 +41,7 @@ pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod provenance;
+mod ring;
 pub mod sample;
 pub mod span;
 pub mod timeline;

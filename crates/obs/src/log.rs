@@ -52,6 +52,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::json::JsonValue;
+use crate::ring::Ring;
 use tracefile_crc::crc32;
 
 /// CRC-32 identical to the tracefile container's (IEEE 802.3). The
@@ -841,16 +842,12 @@ impl Default for LogConfig {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct LogState {
     base: Option<Instant>,
-    seq: u64,
-    ring: Vec<Record>,
-    ring_cap: usize,
-    /// Next overwrite slot once the ring is full.
-    next: usize,
+    /// The newest records; its `recorded` count is the next record's `seq`.
+    ring: Ring<Record>,
     writer: Option<JournalWriter>,
-    recorded: u64,
     write_errors: u64,
 }
 
@@ -860,12 +857,8 @@ static ON: AtomicBool = AtomicBool::new(false);
 static MIN_LEVEL: AtomicU8 = AtomicU8::new(Level::Info as u8);
 static STATE: Mutex<LogState> = Mutex::new(LogState {
     base: None,
-    seq: 0,
-    ring: Vec::new(),
-    ring_cap: 0,
-    next: 0,
+    ring: Ring::new(0),
     writer: None,
-    recorded: 0,
     write_errors: 0,
 });
 
@@ -887,12 +880,8 @@ pub fn enable(cfg: &LogConfig) -> io::Result<()> {
     let mut s = STATE.lock().unwrap();
     *s = LogState {
         base: Some(Instant::now()),
-        seq: 0,
-        ring: Vec::with_capacity(cfg.ring_cap.max(1)),
-        ring_cap: cfg.ring_cap.max(1),
-        next: 0,
+        ring: Ring::new(cfg.ring_cap.max(1)).preallocated(),
         writer,
-        recorded: 0,
         write_errors: 0,
     };
     MIN_LEVEL.store(cfg.level as u8, Ordering::Relaxed);
@@ -932,24 +921,15 @@ pub fn event(level: Level, target: &'static str, msg: &'static str, kvs: &[(&'st
     }
     let mut s = STATE.lock().unwrap();
     let ts_us = s.base.map(|b| b.elapsed().as_micros() as u64).unwrap_or(0);
-    let seq = s.seq;
-    s.seq += 1;
     let rec = Record {
-        seq,
+        seq: s.ring.recorded(),
         ts_us,
         level,
         target,
         msg,
         kvs: fixed,
     };
-    if s.ring.len() < s.ring_cap {
-        s.ring.push(rec);
-    } else {
-        let slot = s.next;
-        s.ring[slot] = rec;
-        s.next = (slot + 1) % s.ring_cap;
-    }
-    s.recorded += 1;
+    s.ring.push(rec);
     if let Some(w) = &mut s.writer {
         if w.write(&rec).is_err() {
             s.write_errors += 1;
@@ -979,23 +959,13 @@ pub fn error(target: &'static str, msg: &'static str, kvs: &[(&'static str, Valu
 
 /// Records accepted since the last [`enable`].
 pub fn recorded() -> u64 {
-    STATE.lock().unwrap().recorded
+    STATE.lock().unwrap().ring.recorded()
 }
 
 /// Snapshots the in-memory ring, oldest first.
 pub fn ring_snapshot() -> Vec<OwnedRecord> {
     let s = STATE.lock().unwrap();
-    let mut out = Vec::with_capacity(s.ring.len());
-    if s.ring.len() < s.ring_cap {
-        out.extend(s.ring.iter().map(OwnedRecord::from_record));
-    } else {
-        for i in 0..s.ring.len() {
-            out.push(OwnedRecord::from_record(
-                &s.ring[(s.next + i) % s.ring.len()],
-            ));
-        }
-    }
-    out
+    s.ring.iter().map(OwnedRecord::from_record).collect()
 }
 
 /// Flushes the on-disk journal without disabling (used before handing a

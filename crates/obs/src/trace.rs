@@ -18,6 +18,7 @@
 //! tracer().disable();
 //! ```
 
+use crate::ring::Ring;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -153,59 +154,18 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-#[derive(Debug, Default)]
-struct Ring {
-    buf: Vec<TraceEvent>,
-    cap: usize,
-    next: usize,
-    recorded: u64,
-}
-
-impl Ring {
-    fn push(&mut self, ev: TraceEvent) {
-        if self.cap == 0 {
-            return;
-        }
-        if self.buf.len() < self.cap {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.next] = ev;
-        }
-        self.next = (self.next + 1) % self.cap;
-        self.recorded += 1;
-    }
-
-    fn last(&self, n: usize) -> Vec<TraceEvent> {
-        let have = self.buf.len();
-        let take = n.min(have);
-        let mut out = Vec::with_capacity(take);
-        // Oldest-first: when the ring has wrapped, `next` points at the
-        // oldest element.
-        let start = if have < self.cap { 0 } else { self.next };
-        for i in (have - take)..have {
-            out.push(self.buf[(start + i) % have.max(1)]);
-        }
-        out
-    }
-}
-
 /// The ring-buffer tracer. Obtain the global instance with [`tracer()`].
 #[derive(Debug)]
 pub struct Tracer {
     on: AtomicBool,
-    ring: Mutex<Ring>,
+    ring: Mutex<Ring<TraceEvent>>,
 }
 
 impl Tracer {
     const fn new() -> Self {
         Tracer {
             on: AtomicBool::new(false),
-            ring: Mutex::new(Ring {
-                buf: Vec::new(),
-                cap: 0,
-                next: 0,
-                recorded: 0,
-            }),
+            ring: Mutex::new(Ring::new(0)),
         }
     }
 
@@ -219,14 +179,7 @@ impl Tracer {
     /// Turns tracing on with a ring of `capacity` events, discarding any
     /// previously recorded events.
     pub fn enable(&self, capacity: usize) {
-        let mut ring = self.ring.lock().unwrap();
-        *ring = Ring {
-            buf: Vec::new(),
-            cap: capacity.max(1),
-            next: 0,
-            recorded: 0,
-        };
-        drop(ring);
+        *self.ring.lock().unwrap() = Ring::new(capacity.max(1));
         self.on.store(true, Ordering::Relaxed);
     }
 
@@ -248,12 +201,16 @@ impl Tracer {
     /// Total events recorded since the last [`enable`](Self::enable)
     /// (including ones the ring has since overwritten).
     pub fn recorded(&self) -> u64 {
-        self.ring.lock().unwrap().recorded
+        self.ring.lock().unwrap().recorded()
     }
 
     /// The most recent `n` events, oldest first.
     pub fn last(&self, n: usize) -> Vec<TraceEvent> {
-        self.ring.lock().unwrap().last(n)
+        let ring = self.ring.lock().unwrap();
+        ring.iter()
+            .skip(ring.len().saturating_sub(n))
+            .copied()
+            .collect()
     }
 }
 

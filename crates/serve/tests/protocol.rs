@@ -464,30 +464,33 @@ fn error_code(f: &frame::Frame) -> Option<String> {
 #[test]
 fn out_of_bounds_hello_is_refused_and_daemon_keeps_serving() {
     // Each of these once passed HELLO: table 3 panicked the connection
-    // thread after WELCOME, and delay 2^40 aborted the whole daemon while
-    // sizing the delay FIFO.
+    // thread after WELCOME, delay 2^40 aborted the whole daemon while
+    // sizing the delay FIFO, and 100 000 nested brackets overflowed the
+    // JSON parser's stack.
     let h = start("badhello", ServeConfig::default());
-    let bad: [(&str, u64); 5] = [
+    let mut bad: Vec<(String, Vec<u8>)> = [
         ("table", 3),
         ("table", 2 * MAX_TABLE_ENTRIES as u64),
         ("table", 1 << 40),
         ("delay", MAX_DELAY as u64 + 1),
         ("delay", 1 << 40),
-    ];
-    for (key, value) in bad {
-        let (mut r, mut w) = connect(&h);
+    ]
+    .into_iter()
+    .map(|(key, value)| {
         let mut hello = params(Benchmark::Gcc).to_hello();
         hello.set(key, value);
-        frame::write_json(&mut w, frame::HELLO, &hello).unwrap();
+        (format!("{key}={value}"), hello.to_json().into_bytes())
+    })
+    .collect();
+    bad.push(("100000 nested '['".into(), vec![b'['; 100_000]));
+    for (what, payload) in &bad {
+        let (mut r, mut w) = connect(&h);
+        frame::write_frame(&mut w, frame::HELLO, payload).unwrap();
         let f = frame::read_frame(&mut r).expect("an answer to the hello");
-        assert_eq!(
-            error_code(&f).as_deref(),
-            Some("bad-hello"),
-            "{key}={value}"
-        );
+        assert_eq!(error_code(&f).as_deref(), Some("bad-hello"), "{what}");
         assert!(
             matches!(frame::read_frame(&mut r), Err(frame::FrameError::Closed)),
-            "{key}={value}: exactly one ERROR, then the connection closes"
+            "{what}: exactly one ERROR, then the connection closes"
         );
     }
     let snap = h.state().live().snapshot();
