@@ -31,7 +31,8 @@
 //! paper's full progression:
 //!
 //! * [`GDiffPredictor`] — the idealized profile-mode predictor (§3), with
-//!   [`DelayedPredictor`] modelling a fixed value delay *T* (Figure 10);
+//!   [`GDiffPredictor::with_delay`] modelling a fixed value delay *T*
+//!   (Figure 10);
 //! * [`SgvqPredictor`] — the **speculative** GVQ (§4): the queue is updated
 //!   with execution-stage results in completion order, which shortens the
 //!   delay but exposes the queue to execution-order variation;
@@ -77,7 +78,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-mod delay;
 mod hybrid;
 mod predictor;
 mod queue;
@@ -85,7 +85,6 @@ pub mod reference;
 mod speculative;
 mod table;
 
-pub use delay::DelayedPredictor;
 pub use hybrid::{HgvqPredictor, HgvqToken};
 pub use predictor::GDiffPredictor;
 pub use queue::{GlobalValueQueue, SlotId};

@@ -1,5 +1,14 @@
 //! Pipeline and cache configuration (the paper's Table 1).
 
+/// The largest reorder buffer any [`PipelineConfig`] supports.
+///
+/// The simulator's scheduler keeps one bit per ROB slot in a `u64` (the
+/// waiting set, each producer's wake set, each completion-wheel word), so
+/// issue and completion visit set bits instead of walking lists. The
+/// paper's Table 1 machine and every configuration in this repository use
+/// 64 entries.
+pub const MAX_ROB_ENTRIES: usize = 64;
+
 /// Geometry and timing of one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -36,7 +45,8 @@ pub struct PipelineConfig {
     pub issue_width: usize,
     /// Instructions retired per cycle.
     pub retire_width: usize,
-    /// Reorder-buffer (RUU) entries.
+    /// Reorder-buffer (RUU) entries, at most [`MAX_ROB_ENTRIES`]
+    /// ([`Simulator::new`](crate::Simulator::new) panics above it).
     pub rob_entries: usize,
     /// Cycles between fetch and dispatch (decode stages).
     pub front_end_depth: u64,

@@ -36,7 +36,7 @@ mod vp;
 
 pub use branch::BranchPredictor;
 pub use cache::Cache;
-pub use config::{CacheConfig, PipelineConfig};
+pub use config::{CacheConfig, PipelineConfig, MAX_ROB_ENTRIES};
 pub use prefetch::{GDiffPrefetcher, NextLinePrefetcher, Prefetcher, StridePrefetcher};
 pub use sim::{NullObserver, SimObserver, Simulator};
 pub use stats::{DelayHistogram, SimStats};

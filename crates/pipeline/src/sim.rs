@@ -28,7 +28,10 @@ use workloads::{DynInst, OpClass};
 
 use crate::stats::DelayHistogram;
 use crate::vp::record_token;
-use crate::{BranchPredictor, Cache, PipelineConfig, Prefetcher, SimStats, VpEngine, VpToken};
+use crate::{
+    BranchPredictor, Cache, PipelineConfig, Prefetcher, SimStats, VpEngine, VpToken,
+    MAX_ROB_ENTRIES,
+};
 
 /// Register-producer table size: every `u8` register name a trace can
 /// carry (both trace decoders accept the full range).
@@ -81,14 +84,10 @@ struct RobEntry {
     inflight_at_dispatch: u64,
 }
 
-/// A `Waiting` entry in the issue stage's scan list.
-#[derive(Debug, Clone, Copy)]
-struct Waiter {
-    seq: u64,
-    /// The in-flight producer this entry last found unpublished. While
-    /// that producer is in flight with nothing published the entry cannot
-    /// issue; one `published` read confirms it without touching the ROB.
-    blocked_on: Option<u64>,
+/// The scheduler-set bit of ring slot `slot`.
+#[inline]
+fn bit(slot: usize) -> u64 {
+    1 << slot
 }
 
 /// Hooks for measurement-only instrumentation (no timing effect).
@@ -140,28 +139,35 @@ pub struct Simulator {
     branch: BranchPredictor,
 
     cycle: u64,
-    /// The reorder buffer: a ring indexed by `seq & rob_mask` holding the
-    /// in-flight sequence numbers `base_seq..next_seq`. It grows to its
-    /// power-of-two size as the first entries dispatch, then slots are
-    /// overwritten in place.
+    /// The reorder buffer: a ring of [`MAX_ROB_ENTRIES`] slots indexed by
+    /// `seq % MAX_ROB_ENTRIES` holding the in-flight sequence numbers
+    /// `base_seq..next_seq`. It grows as the first entries dispatch, then
+    /// slots are overwritten in place. The scheduler sets below hold one
+    /// bit per slot; rotating one right by the head's slot puts its bits in
+    /// age order.
     rob: Vec<RobEntry>,
     /// The value consumers of each ring slot's entry may read: a confident
     /// prediction at dispatch, the actual value after completion, `None`
     /// when neither. Kept beside the ring rather than in `RobEntry` so the
     /// issue stage's readiness checks touch one word per producer.
-    published: Vec<Option<u64>>,
-    rob_mask: u64,
+    published: [Option<u64>; MAX_ROB_ENTRIES],
     base_seq: u64,
     next_seq: u64,
-    /// The `Waiting` entries in ascending `seq` order: the issue stage
-    /// scans these instead of the whole ROB.
-    waiting: Vec<Waiter>,
-    /// `(seq, done_cycle)` of every `Executing` entry, unordered: the
-    /// completion stage takes the due ones instead of scanning the ROB.
-    executing: Vec<(u64, u64)>,
-    /// Scratch buffers reused across cycles: the completion batch and the
-    /// squash worklist.
-    finishing: Vec<u64>,
+    /// The `Waiting` entries.
+    wait: u64,
+    /// The `Waiting` entries the issue stage skips: each found a producer
+    /// in flight with nothing published, and sits in that producer's
+    /// `wake` set until it publishes a value.
+    blocked: u64,
+    /// Per producer slot: the blocked consumers its next published value
+    /// wakes.
+    wake: [u64; MAX_ROB_ENTRIES],
+    /// The completion wheel: word `c & wheel_mask` holds the `Executing`
+    /// entries whose `done_cycle` is `c`. It has more words than the
+    /// longest latency, so no two pending cycles share a word.
+    wheel: Vec<u64>,
+    wheel_mask: u64,
+    /// Scratch buffer reused across cycles: the squash worklist.
     squash_worklist: Vec<(u64, Option<u64>)>,
     reg_producer: [Option<u64>; NUM_REGS],
     /// Fetched, not yet dispatched: (inst, earliest dispatch cycle).
@@ -170,6 +176,8 @@ pub struct Simulator {
     last_fetch_line: Option<u64>,
     /// Set while a mispredicted branch is in flight (fetch stalled on it).
     waiting_redirect: bool,
+    /// Set once the trace returned `None`; it is not read again.
+    trace_done: bool,
 
     prefetcher: Option<Box<dyn Prefetcher>>,
     /// In-flight cache fills started by the prefetcher: line -> ready cycle.
@@ -221,10 +229,19 @@ impl MetricIds {
 impl Simulator {
     /// Creates a simulator with the given configuration and
     /// value-prediction engine.
+    ///
+    /// # Panics
+    ///
+    /// If `config.rob_entries` exceeds [`MAX_ROB_ENTRIES`].
     pub fn new(config: PipelineConfig, engine: Box<dyn VpEngine>) -> Self {
+        assert!(
+            config.rob_entries <= MAX_ROB_ENTRIES,
+            "rob_entries {} exceeds MAX_ROB_ENTRIES ({MAX_ROB_ENTRIES})",
+            config.rob_entries
+        );
         let mut metrics = Registry::new();
         let ids = MetricIds::register(&mut metrics);
-        let rob_slots = config.rob_entries.next_power_of_two();
+        let wheel_len = (longest_latency(&config) + 1).next_power_of_two();
         Simulator {
             icache: Cache::new(config.icache),
             dcache: Cache::new(config.dcache),
@@ -232,20 +249,22 @@ impl Simulator {
             config,
             engine,
             cycle: 0,
-            rob: Vec::with_capacity(rob_slots),
-            published: vec![None; rob_slots],
-            rob_mask: rob_slots as u64 - 1,
+            rob: Vec::with_capacity(MAX_ROB_ENTRIES),
+            published: [None; MAX_ROB_ENTRIES],
             base_seq: 0,
             next_seq: 0,
-            waiting: Vec::new(),
-            executing: Vec::new(),
-            finishing: Vec::new(),
+            wait: 0,
+            blocked: 0,
+            wake: [0; MAX_ROB_ENTRIES],
+            wheel: vec![0; wheel_len as usize],
+            wheel_mask: wheel_len - 1,
             squash_worklist: Vec::new(),
             reg_producer: [None; NUM_REGS],
             dispatch_queue: VecDeque::new(),
             fetch_resume: 0,
             last_fetch_line: None,
             waiting_redirect: false,
+            trace_done: false,
             prefetcher: None,
             pending_fills: HashMap::new(),
             metrics,
@@ -273,7 +292,18 @@ impl Simulator {
     /// Ring slot of the in-flight entry `seq`.
     #[inline]
     fn slot(&self, seq: u64) -> usize {
-        (seq & self.rob_mask) as usize
+        (seq % MAX_ROB_ENTRIES as u64) as usize
+    }
+
+    /// Completion-wheel word of cycle `cycle`.
+    #[inline]
+    fn wheel_word(&self, cycle: u64) -> usize {
+        (cycle & self.wheel_mask) as usize
+    }
+
+    /// Whether the trace is exhausted and every instruction retired.
+    fn drained(&self) -> bool {
+        self.trace_done && self.rob_len() == 0 && self.dispatch_queue.is_empty()
     }
 
     /// Read access to the telemetry registry backing all counters.
@@ -295,7 +325,7 @@ impl Simulator {
     ///
     /// The trace must supply at least `warmup + measure` instructions;
     /// running out of trace ends the run early (the statistics cover what
-    /// retired).
+    /// retired). The trace is not polled again after its first `None`.
     pub fn run(
         self,
         trace: impl IntoIterator<Item = DynInst>,
@@ -341,17 +371,14 @@ impl Simulator {
         observer: &mut dyn SimObserver,
     ) -> (SimStats, Option<Provenance>) {
         let mut trace = trace.into_iter();
-        let mut trace_done = false;
 
         // --- warm-up phase ---
         // Timeline spans mark the phase boundaries on the worker's track;
         // when the timeline is off each costs one relaxed atomic load.
         let tl_warmup = obs::timeline::start("sim.warmup", "sim");
         let mut last_progress = (0u64, 0u64);
-        while self.retired() < warmup
-            && !(trace_done && self.rob_len() == 0 && self.dispatch_queue.is_empty())
-        {
-            trace_done |= self.step(&mut trace, observer);
+        while self.retired() < warmup && !self.drained() {
+            self.step(&mut trace, observer);
             last_progress = self.check_watchdog(last_progress);
         }
         drop(tl_warmup);
@@ -382,10 +409,8 @@ impl Simulator {
 
         // --- measurement phase ---
         let tl_measure = obs::timeline::start("sim.measure", "sim");
-        while self.retired() < measure
-            && !(trace_done && self.rob_len() == 0 && self.dispatch_queue.is_empty())
-        {
-            trace_done |= self.step(&mut trace, observer);
+        while self.retired() < measure && !self.drained() {
+            self.step(&mut trace, observer);
             last_progress = self.check_watchdog(last_progress);
         }
         drop(tl_measure);
@@ -441,46 +466,87 @@ impl Simulator {
         }
     }
 
-    /// One cycle. Returns `true` when the trace ran out this cycle.
-    fn step(
-        &mut self,
-        trace: &mut impl Iterator<Item = DynInst>,
-        observer: &mut dyn SimObserver,
-    ) -> bool {
-        self.complete();
-        self.retire();
-        self.issue(observer);
-        self.dispatch(observer);
-        let done = self.fetch(trace);
+    /// One cycle, or more: after a cycle in which no stage acted, the
+    /// clock jumps to the next cycle in which one can (see
+    /// [`next_event`](Self::next_event)).
+    fn step(&mut self, trace: &mut impl Iterator<Item = DynInst>, observer: &mut dyn SimObserver) {
+        let mut acted = self.complete();
+        acted |= self.retire();
+        acted |= self.issue(observer);
+        acted |= self.dispatch(observer);
+        acted |= self.fetch(trace);
         #[cfg(debug_assertions)]
         self.check_scheduler();
-        self.cycle += 1;
-        done
+        self.cycle = if acted {
+            self.cycle + 1
+        } else {
+            self.next_event()
+        };
     }
 
-    /// Debug-build cross-check of the scheduler's bookkeeping against the
-    /// ROB entries it summarises.
+    /// The first cycle after an idle one (no stage acted) in which a stage
+    /// can act. Retire and issue act again only after a completion or a
+    /// dispatch, so until the next clock-driven event the machine's state
+    /// cannot change. That event is the earliest of the next completion,
+    /// the dispatch-queue head's ready cycle (if the ROB has room) and
+    /// `fetch_resume` (if fetch waits on no redirect and its buffer has
+    /// room). With none of them pending the machine is deadlocked; it
+    /// advances one cycle so the watchdog still fires.
+    fn next_event(&self) -> u64 {
+        let now = self.cycle;
+        let mut next = (1..self.wheel.len() as u64)
+            .map(|d| now + d)
+            .find(|&c| self.wheel[self.wheel_word(c)] != 0)
+            .unwrap_or(u64::MAX);
+        if self.rob_len() < self.config.rob_entries {
+            if let Some(&(_, ready, _)) = self.dispatch_queue.front() {
+                next = next.min(ready);
+            }
+        }
+        if !self.trace_done
+            && !self.waiting_redirect
+            && self.dispatch_queue.len() < self.fetch_buffer_cap()
+        {
+            next = next.min(self.fetch_resume);
+        }
+        if next == u64::MAX {
+            now + 1
+        } else {
+            next.max(now + 1)
+        }
+    }
+
+    /// Debug-build cross-check of the scheduler sets against the ROB
+    /// entries they summarise.
     #[cfg(debug_assertions)]
     fn check_scheduler(&self) {
-        let in_flight = || (self.base_seq..self.next_seq).map(|s| &self.rob[self.slot(s)]);
-        let waiting = in_flight().filter(|e| e.state == State::Waiting);
-        assert!(
-            self.waiting
-                .iter()
-                .map(|w| w.seq)
-                .eq(waiting.map(|e| e.seq)),
-            "cycle {}: waiting list out of step with the ROB",
-            self.cycle
-        );
-        let mut executing = 0;
-        for (seq, e) in (self.base_seq..).zip(in_flight()) {
+        let cycle = self.cycle;
+        let (mut wait, mut executing) = (0, 0);
+        for seq in self.base_seq..self.next_seq {
+            let slot = self.slot(seq);
+            let e = &self.rob[slot];
             assert_eq!(e.seq, seq, "ring slot holds a stale entry");
-            if e.state == State::Executing {
-                executing += 1;
+            match e.state {
+                State::Waiting => wait |= bit(slot),
+                State::Executing => {
+                    executing += 1;
+                    assert!(
+                        self.wheel[self.wheel_word(e.done_cycle)] & bit(slot) != 0,
+                        "cycle {cycle}: executing seq {seq} missing from the wheel"
+                    );
+                }
+                State::Done => {}
+            }
+            if self.blocked & bit(slot) != 0 {
+                let asleep = e.deps.iter().flatten().any(|&p| {
+                    let ps = self.slot(p);
+                    p >= self.base_seq
+                        && self.published[ps].is_none()
+                        && self.wake[ps] & bit(slot) != 0
+                });
                 assert!(
-                    self.executing.contains(&(seq, e.done_cycle)),
-                    "cycle {}: executing seq {seq} missing from the executing set",
-                    self.cycle
+                    asleep,
+                    "cycle {cycle}: blocked seq {seq} waits on no unpublished producer"
                 );
             }
             // Published: the actual value once done, otherwise the
@@ -490,36 +556,46 @@ impl Simulator {
             } else {
                 e.vp_token.confident_prediction()
             };
-            assert_eq!(
-                self.published[self.slot(seq)],
-                expected,
-                "seq {seq} published"
-            );
+            assert_eq!(self.published[slot], expected, "seq {seq} published");
         }
-        assert_eq!(executing, self.executing.len(), "executing set size");
-        for w in &self.waiting {
-            if let Some(p) = w.blocked_on {
-                assert!(self.rob[self.slot(w.seq)].deps.contains(&Some(p)));
-            }
-        }
+        assert_eq!(
+            self.wait, wait,
+            "cycle {cycle}: wait set out of step with the ROB"
+        );
+        // With every blocked and every executing entry found above, equal
+        // totals mean each sits in exactly one wake set and wheel word.
+        assert_eq!(self.blocked & !self.wait, 0, "blocked but not waiting");
+        let sleepers: u32 = self.wake.iter().map(|w| w.count_ones()).sum();
+        assert_eq!(sleepers, self.blocked.count_ones(), "wake set size");
+        let wheel: u32 = self.wheel.iter().map(|w| w.count_ones()).sum();
+        assert_eq!(wheel, executing, "cycle {cycle}: wheel size");
     }
 
     // ---- stages -----------------------------------------------------
 
-    /// Write-back: the executing entries due this cycle complete in
-    /// program (`seq`) order, as one batch fixed before any of it is
-    /// processed (see [`squash_consumers`](Self::squash_consumers) for
-    /// what that means for a member squashed by an earlier one).
-    fn complete(&mut self) {
+    /// Sets what consumers of `slot` read; a value wakes every consumer
+    /// blocked on the entry. Returns the previous publication.
+    #[inline]
+    fn publish(&mut self, slot: usize, value: Option<u64>) -> Option<u64> {
+        if value.is_some() {
+            self.blocked &= !mem::take(&mut self.wake[slot]);
+        }
+        mem::replace(&mut self.published[slot], value)
+    }
+
+    /// Write-back: the entries due this cycle complete in program (`seq`)
+    /// order, as one batch — the wheel word, taken whole before any of it
+    /// is processed (see [`squash_consumers`](Self::squash_consumers) for
+    /// what that means for a member squashed by an earlier one). Returns
+    /// whether any completed.
+    fn complete(&mut self) -> bool {
         let cycle = self.cycle;
-        let mut batch = mem::take(&mut self.finishing);
-        batch.extend(
-            self.executing
-                .extract_if(.., |&mut (_, done)| done <= cycle)
-                .map(|(seq, _)| seq),
-        );
-        batch.sort_unstable();
-        for &seq in &batch {
+        let word = self.wheel_word(cycle);
+        let due = mem::take(&mut self.wheel[word]);
+        let mut batch = due.rotate_right(self.slot(self.base_seq) as u32);
+        while batch != 0 {
+            let seq = self.base_seq + u64::from(batch.trailing_zeros());
+            batch &= batch - 1;
             let slot = self.slot(seq);
             let was_published = self.published[slot];
             let (actual, produces, token, vp_done, dhit) = {
@@ -575,12 +651,12 @@ impl Simulator {
             let e = &mut self.rob[slot];
             if e.state == State::Waiting {
                 // Squashed earlier in this batch: it completes anyway.
-                let pos = self.waiting.partition_point(|w| w.seq < seq);
-                self.waiting.remove(pos);
+                debug_assert_eq!(self.blocked & bit(slot), 0);
+                self.wait &= !bit(slot);
             }
             e.state = State::Done;
             if produces {
-                self.published[slot] = Some(actual);
+                self.publish(slot, Some(actual));
                 // A stale published value (wrong prediction, or a squashed
                 // producer's earlier result) invalidates dependents that
                 // consumed it.
@@ -596,8 +672,7 @@ impl Simulator {
                 self.fetch_resume = cycle + self.config.redirect_penalty;
             }
         }
-        batch.clear();
-        self.finishing = batch;
+        due != 0
     }
 
     /// Selective reissue: squash (transitively) every issued instruction
@@ -609,17 +684,19 @@ impl Simulator {
     /// dispatch-time confident prediction (if any), exactly the state a
     /// freshly dispatched copy would have. Each squash moves an entry from
     /// an issued state to `Waiting` (skipped thereafter), so the walk
-    /// terminates.
+    /// terminates. A squashed `Executing` entry leaves the wheel; a
+    /// squashed entry joins the wait set unblocked, so the issue stage
+    /// reads its operands afresh.
     ///
     /// A squashed consumer due in the same cycle as the producer is
-    /// already in the [`complete`](Self::complete) batch: it still
-    /// completes then, on its stale operands, and never re-executes, so
-    /// its reissue is counted but costs no time. With seed 1, 10K warm-up
-    /// and 40K measured instructions per benchmark, summed over the ten
-    /// benchmarks, that is 11 995 of HGVQ's 14 712 measured reissues (82%)
-    /// and 3 957 of local stride's 8 127 (49%). The experiments report
-    /// this model; changing it is a timing-model change with its own
-    /// baseline.
+    /// already in the [`complete`](Self::complete) batch (its wheel word
+    /// was taken whole): it still completes then, on its stale operands,
+    /// and never re-executes, so its reissue is counted but costs no time.
+    /// With seed 1, 10K warm-up and 40K measured instructions per
+    /// benchmark, summed over the ten benchmarks, that is 11 995 of HGVQ's
+    /// 14 712 measured reissues (82%) and 3 957 of local stride's 8 127
+    /// (49%). The experiments report this model; changing it is a
+    /// timing-model change with its own baseline.
     fn squash_consumers(&mut self, producer_seq: u64, valid: Option<u64>) {
         let mut worklist = mem::take(&mut self.squash_worklist);
         worklist.push((producer_seq, valid));
@@ -641,23 +718,16 @@ impl Simulator {
                 }
                 let repub = (was == State::Done && e.inst.produces_value())
                     .then(|| e.vp_token.confident_prediction());
+                let done = e.done_cycle;
                 if was == State::Executing {
-                    // Absent when `seq` is in the batch being completed.
-                    if let Some(i) = self.executing.iter().position(|&(s, _)| s == seq) {
-                        self.executing.swap_remove(i);
-                    }
+                    // A no-op when `seq` is in the batch being completed.
+                    let word = self.wheel_word(done);
+                    self.wheel[word] &= !bit(slot);
                 }
-                let pos = self.waiting.partition_point(|w| w.seq < seq);
-                self.waiting.insert(
-                    pos,
-                    Waiter {
-                        seq,
-                        blocked_on: None,
-                    },
-                );
+                self.wait |= bit(slot);
                 self.metrics.inc(self.ids.reissues);
                 if let Some(repub) = repub {
-                    let old = mem::replace(&mut self.published[slot], repub);
+                    let old = self.publish(slot, repub);
                     if old != repub {
                         worklist.push((seq, repub));
                     }
@@ -667,7 +737,9 @@ impl Simulator {
         self.squash_worklist = worklist;
     }
 
-    fn retire(&mut self) {
+    /// Retires up to `retire_width` done entries from the head; returns
+    /// whether any retired.
+    fn retire(&mut self) -> bool {
         let mut n = 0;
         while n < self.config.retire_width && self.rob_len() > 0 {
             let e = &self.rob[self.slot(self.base_seq)];
@@ -694,6 +766,7 @@ impl Simulator {
             }
             n += 1;
         }
+        n > 0
     }
 
     /// The value an operand whose producer is `dep` reads if its consumer
@@ -707,30 +780,36 @@ impl Simulator {
         }
     }
 
-    /// Issues up to `issue_width` ready entries, oldest first.
-    fn issue(&mut self, observer: &mut dyn SimObserver) {
+    /// Issues up to `issue_width` ready entries, oldest first; returns
+    /// whether any issued.
+    ///
+    /// Only unblocked waiting entries are visited. One that finds a
+    /// producer in flight with nothing published blocks on it: it joins
+    /// that producer's wake set and is skipped until the producer
+    /// publishes a value.
+    fn issue(&mut self, observer: &mut dyn SimObserver) -> bool {
         let mut issued = 0;
-        let (mut r, mut w) = (0, 0);
-        while r < self.waiting.len() && issued < self.config.issue_width {
-            let mut waiter = self.waiting[r];
-            r += 1;
-            // Recheck the producer the entry last waited for before
-            // reading the entry itself.
-            if self.read_operand(waiter.blocked_on).is_ok() {
-                let deps = self.rob[self.slot(waiter.seq)].deps;
-                match (self.read_operand(deps[0]), self.read_operand(deps[1])) {
-                    (Ok(v0), Ok(v1)) => {
-                        self.start(waiter.seq, [v0, v1], observer);
-                        issued += 1;
-                        continue;
-                    }
-                    (Err(p), _) | (_, Err(p)) => waiter.blocked_on = Some(p),
+        let base = self.slot(self.base_seq) as u32;
+        let mut ready = (self.wait & !self.blocked).rotate_right(base);
+        while ready != 0 && issued < self.config.issue_width {
+            let seq = self.base_seq + u64::from(ready.trailing_zeros());
+            ready &= ready - 1;
+            let slot = self.slot(seq);
+            let deps = self.rob[slot].deps;
+            match (self.read_operand(deps[0]), self.read_operand(deps[1])) {
+                (Ok(v0), Ok(v1)) => {
+                    self.wait &= !bit(slot);
+                    self.start(seq, [v0, v1], observer);
+                    issued += 1;
+                }
+                (Err(p), _) | (_, Err(p)) => {
+                    self.blocked |= bit(slot);
+                    let producer = self.slot(p);
+                    self.wake[producer] |= bit(slot);
                 }
             }
-            self.waiting[w] = waiter;
-            w += 1;
         }
-        self.waiting.drain(w..r);
+        issued > 0
     }
 
     /// Sends entry `seq` to a function unit with operand values `read`.
@@ -769,12 +848,19 @@ impl Simulator {
                 }
             }
         }
+        debug_assert!(
+            lat < self.wheel.len() as u64,
+            "latency {lat} laps the wheel"
+        );
         let done = self.cycle + lat;
         self.rob[slot].done_cycle = done;
-        self.executing.push((seq, done));
+        let word = self.wheel_word(done);
+        self.wheel[word] |= bit(slot);
     }
 
-    fn dispatch(&mut self, observer: &mut dyn SimObserver) {
+    /// Moves up to `dispatch_width` ready instructions from the fetch
+    /// queue into the ROB; returns whether any moved.
+    fn dispatch(&mut self, observer: &mut dyn SimObserver) -> bool {
         let mut n = 0;
         while n < self.config.dispatch_width
             && self.rob_len() < self.config.rob_entries
@@ -862,26 +948,31 @@ impl Simulator {
             } else {
                 self.rob[slot] = entry;
             }
-            self.published[slot] = published;
-            self.waiting.push(Waiter {
-                seq,
-                blocked_on: None,
-            });
+            debug_assert_eq!(self.wake[slot], 0, "a retired producer had sleepers");
+            self.publish(slot, published);
+            self.wait |= bit(slot);
             n += 1;
         }
+        n > 0
     }
 
-    /// Returns `true` when the trace is exhausted.
+    /// The front-end queue's bound (fetch buffer depth).
+    fn fetch_buffer_cap(&self) -> usize {
+        self.config.fetch_width * 4
+    }
+
+    /// Fetches up to `fetch_width` instructions into the dispatch queue;
+    /// returns whether it queued any (every fetch-state change queues).
     fn fetch(&mut self, trace: &mut impl Iterator<Item = DynInst>) -> bool {
-        if self.waiting_redirect || self.cycle < self.fetch_resume {
+        if self.trace_done || self.waiting_redirect || self.cycle < self.fetch_resume {
             return false;
         }
-        // Keep the front-end queue bounded (fetch buffer depth).
-        let buffer_cap = self.config.fetch_width * 4;
+        let buffer_cap = self.fetch_buffer_cap();
         let mut fetched = 0;
         while fetched < self.config.fetch_width && self.dispatch_queue.len() < buffer_cap {
             let Some(inst) = trace.next() else {
-                return true;
+                self.trace_done = true;
+                return fetched > 0;
             };
             // I-cache: one access per new line.
             let line = inst.pc / self.config.icache.line_bytes;
@@ -895,7 +986,7 @@ impl Simulator {
                         self.fetch_resume + self.config.front_end_depth,
                         false,
                     ));
-                    return false;
+                    return true;
                 }
             }
             let ready = self.cycle + self.config.front_end_depth;
@@ -905,7 +996,7 @@ impl Simulator {
                     // Stall until the branch resolves at execute.
                     self.waiting_redirect = true;
                     self.dispatch_queue.push_back((inst, ready, true));
-                    return false;
+                    return true;
                 }
                 self.dispatch_queue.push_back((inst, ready, false));
                 fetched += 1;
@@ -919,7 +1010,7 @@ impl Simulator {
                 fetched += 1;
             }
         }
-        false
+        fetched > 0
     }
 }
 
@@ -935,6 +1026,14 @@ fn op_class_name(op: OpClass) -> &'static str {
         OpClass::Branch => "branch",
         OpClass::Jump => "jump",
     }
+}
+
+/// The most cycles an instruction of `config` can execute: a divide, or a
+/// load's address generation, hit latency and miss penalty (a late
+/// prefetch only shortens the miss).
+fn longest_latency(config: &PipelineConfig) -> u64 {
+    let load = OpClass::Load.latency() + config.dcache_hit_latency + config.dcache.miss_penalty;
+    OpClass::IntDiv.latency().max(load)
 }
 
 fn rate(num: u64, den: u64) -> f64 {
@@ -1028,6 +1127,41 @@ mod tests {
         use crate::LocalEngine;
         let s = run_bench(Benchmark::Twolf, Box::new(LocalEngine::stride_8k()), 30_000);
         assert!(s.reissues < s.retired, "reissues {} runaway", s.reissues);
+    }
+
+    #[test]
+    #[should_panic(expected = "rob_entries 65 exceeds MAX_ROB_ENTRIES (64)")]
+    fn a_rob_wider_than_the_scheduler_sets_is_refused() {
+        let config = PipelineConfig {
+            rob_entries: MAX_ROB_ENTRIES + 1,
+            ..PipelineConfig::r10k()
+        };
+        let _ = Simulator::new(config, Box::new(NoVp));
+    }
+
+    #[test]
+    fn a_smaller_rob_runs_slower() {
+        let trace = || Benchmark::Mcf.build(7).take(30_000);
+        let small = PipelineConfig {
+            rob_entries: 24,
+            ..PipelineConfig::r10k()
+        };
+        let s = Simulator::new(small, Box::new(NoVp)).run(trace(), 2_000, 10_000);
+        let full =
+            Simulator::new(PipelineConfig::r10k(), Box::new(NoVp)).run(trace(), 2_000, 10_000);
+        assert!(s.ipc() < full.ipc(), "{} vs {}", s.ipc(), full.ipc());
+    }
+
+    #[test]
+    #[should_panic(expected = "pipeline deadlock")]
+    fn a_machine_with_no_pending_event_still_trips_the_watchdog() {
+        // Nothing can dispatch into a zero-entry ROB: once the fetch
+        // buffer fills, no event is pending and the clock must still run.
+        let config = PipelineConfig {
+            rob_entries: 0,
+            ..PipelineConfig::r10k()
+        };
+        let _ = Simulator::new(config, Box::new(NoVp)).run(Benchmark::Gzip.build(7), 0, 10);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Cycle-exactness pins: FNV-1a-64 digests of the full `SimStats` JSON for
 //! every benchmark under the three engines the pipeline figures use, plus
-//! a prefetcher run and a provenance run.
+//! a prefetcher run, a provenance run, runs whose trace ends early, the
+//! deepest `ablate-depth` configuration and a divide/miss micro trace.
 //!
 //! The digests are a behaviour baseline, not a spec: any change to the
 //! scheduler that moves a single simulated cycle, reissue, cache access or
@@ -11,7 +12,7 @@
 use pipeline::{
     GDiffPrefetcher, HgvqEngine, LocalEngine, NoVp, PipelineConfig, Simulator, VpEngine,
 };
-use workloads::Benchmark;
+use workloads::{Benchmark, DynInst, OpClass};
 
 const SEED: u64 = 7;
 const WARMUP: u64 = 2_000;
@@ -27,6 +28,13 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
         (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
+
+/// The three engines the pipeline figures compare.
+const ENGINES: [(&str, MakeEngine); 3] = [
+    ("novp", || Box::new(NoVp)),
+    ("stride", || Box::new(LocalEngine::stride_8k())),
+    ("hgvq", || Box::new(HgvqEngine::paper_default())),
+];
 
 fn sim(engine: Box<dyn VpEngine>) -> Simulator {
     Simulator::new(PipelineConfig::r10k(), engine)
@@ -94,15 +102,10 @@ const ENGINE_GRID: &[(&str, u64)] = &[
 
 #[test]
 fn every_benchmark_and_engine_is_cycle_exact() {
-    let engines: [(&str, MakeEngine); 3] = [
-        ("novp", || Box::new(NoVp)),
-        ("stride", || Box::new(LocalEngine::stride_8k())),
-        ("hgvq", || Box::new(HgvqEngine::paper_default())),
-    ];
     let mut actual = Vec::new();
     for bench in Benchmark::ALL {
         let trace: Vec<_> = bench.build(SEED).take(TRACE_LEN).collect();
-        for (name, make) in engines {
+        for (name, make) in ENGINES {
             let s = sim(make()).run(trace.iter().copied(), WARMUP, MEASURE);
             actual.push((format!("{}/{name}", bench.name()), stats_digest(&s)));
         }
@@ -139,4 +142,122 @@ fn provenance_run_is_cycle_exact() {
             ("gzip/hgvq provenance", 0xd1b7_8c0f_e1db_83c0),
         ],
     );
+}
+
+#[rustfmt::skip]
+const SHORT_TRACE: &[(&str, u64)] = &[
+    ("gcc/novp short", 0x6996fc4cebba3464),
+    ("gcc/stride short", 0x7270c2f147c3fe6d),
+    ("gcc/hgvq short", 0xab01443d29087ea6),
+    ("mcf/novp short", 0xd86378a81dbdd24b),
+    ("mcf/stride short", 0x1edf58444c11a270),
+    ("mcf/hgvq short", 0x49e0890427ad7160),
+];
+
+#[test]
+fn trace_exhaustion_drain_is_cycle_exact() {
+    // The trace ends half-way through the measurement phase: the run
+    // drains the ROB after the last fetch and reports what retired.
+    let len = (WARMUP + MEASURE / 2) as usize;
+    let mut actual = Vec::new();
+    for bench in [Benchmark::Gcc, Benchmark::Mcf] {
+        let trace: Vec<_> = bench.build(SEED).take(len).collect();
+        for (name, make) in ENGINES {
+            let s = sim(make()).run(trace.iter().copied(), WARMUP, MEASURE);
+            assert!(s.retired < MEASURE, "the trace must run out first");
+            actual.push((format!("{}/{name} short", bench.name()), stats_digest(&s)));
+        }
+    }
+    check(&actual, SHORT_TRACE);
+}
+
+#[rustfmt::skip]
+const DEEP_FRONT_END: &[(&str, u64)] = &[
+    ("gap/novp depth12", 0xc3d00935e066735a),
+    ("gap/stride depth12", 0xd44dc9b35279808b),
+    ("gap/hgvq depth12", 0xd52186ade21d0ba2),
+    ("twolf/novp depth12", 0xa0b698b1b154d58d),
+    ("twolf/stride depth12", 0x9f5ba5fb0228b271),
+    ("twolf/hgvq depth12", 0xff7f26395ececb0a),
+    ("vortex/novp depth12", 0x197f578b6bf5098f),
+    ("vortex/stride depth12", 0x8ec6d0c6770531fb),
+    ("vortex/hgvq depth12", 0x8d3aa217245d5623),
+];
+
+#[test]
+fn deepest_ablate_depth_point_is_cycle_exact() {
+    // The `ablate-depth` sweep's deepest point: a 12-stage front end and a
+    // 16-cycle redirect penalty, everything else Table 1.
+    let config = PipelineConfig {
+        front_end_depth: 12,
+        redirect_penalty: 16,
+        ..PipelineConfig::r10k()
+    };
+    let mut actual = Vec::new();
+    for bench in [Benchmark::Gap, Benchmark::Twolf, Benchmark::Vortex] {
+        let trace: Vec<_> = bench.build(SEED).take(TRACE_LEN).collect();
+        for (name, make) in ENGINES {
+            let s = Simulator::new(config, make()).run(trace.iter().copied(), WARMUP, MEASURE);
+            actual.push((format!("{}/{name} depth12", bench.name()), stats_digest(&s)));
+        }
+    }
+    check(&actual, DEEP_FRONT_END);
+}
+
+/// A 35-cycle integer divide of `srcs` into `dst`.
+fn div(pc: u64, dst: u8, srcs: [Option<u8>; 2], value: u64) -> DynInst {
+    DynInst {
+        op: OpClass::IntDiv,
+        ..DynInst::alu(pc, dst, srcs, value)
+    }
+}
+
+/// Divide chains interleaved with loads that miss: the two longest
+/// latencies in Table 1, overlapping, with a pointer chase through the
+/// divide results and values that defeat stride prediction half the time.
+fn divide_and_miss_trace(n: u64) -> Vec<DynInst> {
+    let mut trace = Vec::new();
+    let mut x = 1u64;
+    for i in 0..n {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let far = 0x1000_0000 + (i * 4096) % 0x400_0000;
+        trace.push(DynInst::load(0x400, 1, 2, far, i * 8));
+        trace.push(div(0x404, 3, [Some(1), Some(3)], i * 3));
+        trace.push(DynInst::alu(0x408, 4, [Some(3), None], i * 3 + 1));
+        trace.push(DynInst::load(0x40c, 2, 4, far + 64 * (x >> 60), x >> 40));
+        trace.push(div(
+            0x410,
+            5,
+            [Some(2), Some(1)],
+            if i % 2 == 0 { i } else { x },
+        ));
+        trace.push(DynInst::mul(0x414, 6, [Some(5), None], i * 5));
+        trace.push(DynInst::store(0x418, 6, 4, far + 8));
+        trace.push(DynInst::branch(0x41c, 5, x & 3 != 0, 0x400));
+    }
+    trace
+}
+
+#[rustfmt::skip]
+const DIVIDE_AND_MISS: &[(&str, u64)] = &[
+    ("div+miss/novp", 0x1c9410656335f425),
+    ("div+miss/stride", 0x59594b518d83d47f),
+    ("div+miss/hgvq", 0x97da7c1bb624b160),
+];
+
+#[test]
+fn divide_and_miss_micro_trace_is_cycle_exact() {
+    let trace = divide_and_miss_trace(750);
+    let mut actual = Vec::new();
+    for (name, make) in ENGINES {
+        let s = sim(make()).run(trace.iter().copied(), 1_000, u64::MAX);
+        // Warm-up can overshoot by up to `retire_width - 1`.
+        let drained = trace.len() as u64 - 1_003..=trace.len() as u64 - 1_000;
+        assert!(drained.contains(&s.retired), "{name}: drains fully");
+        assert!(s.dcache_miss_rate > 0.5, "{name}: the loads must miss");
+        actual.push((format!("div+miss/{name}"), stats_digest(&s)));
+    }
+    check(&actual, DIVIDE_AND_MISS);
 }
