@@ -162,7 +162,10 @@ impl Window {
         self.slots[self.next] = u8::from(predicted) | (u8::from(correct) << 1);
         self.predicted += u32::from(predicted);
         self.correct += u32::from(correct);
-        self.next = (self.next + 1) % self.slots.len();
+        self.next += 1;
+        if self.next == self.slots.len() {
+            self.next = 0;
+        }
     }
 
     fn full(&self) -> bool {

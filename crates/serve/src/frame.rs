@@ -19,15 +19,22 @@
 //! CRC on top of the frame CRC); the [`METRICS`] payload is Prometheus
 //! exposition text.
 //!
+//! Each received byte is hashed once: [`read_frame`] verifies the frame
+//! CRC and keeps it in [`Frame::crc`], and `wire_payload_crc` derives
+//! the embedded wire chunk's payload CRC from it (hashing the 24 bytes in
+//! front of that payload, not the payload again) for the daemon's exact
+//! check against the chunk header.
+//!
 //! A reader hitting clean EOF *between* frames sees [`FrameError::Closed`]
 //! — the one non-error way a conversation ends. EOF inside a frame, a bad
 //! magic, an oversized length, or a CRC mismatch are malformed-frame
 //! errors: the server answers with an [`ERROR`] frame and kills that
 //! session, never the daemon.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
-use tracefile::crc32::crc32;
+use tracefile::container::CHUNK_HEADER_LEN;
+use tracefile::crc32::{crc32, crc32_combine};
 
 /// Frame magic: "gSv1".
 pub const FRAME_MAGIC: [u8; 4] = *b"gSv1";
@@ -37,6 +44,10 @@ pub const FRAME_HEADER_LEN: usize = 16;
 /// hundred KiB; 16 MiB leaves generous headroom without letting a bad
 /// length field allocate the moon).
 pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
+/// The most [`read_frame`] reserves before a payload's bytes arrive; a
+/// longer payload grows the buffer as it is read, so a header alone
+/// cannot make the reader allocate [`MAX_FRAME_LEN`].
+pub const MAX_FRAME_RESERVE: usize = 256 * 1024;
 
 /// Client → server: open a session (JSON session parameters).
 pub const HELLO: u8 = 0x01;
@@ -103,6 +114,8 @@ pub struct Frame {
     pub ftype: u8,
     /// The raw payload.
     pub payload: Vec<u8>,
+    /// The payload's CRC-32, as stored in the header and verified.
+    pub crc: u32,
 }
 
 /// Why reading or validating a frame failed.
@@ -162,31 +175,51 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Encodes one frame into a byte vector.
-pub fn encode_frame(ftype: u8, payload: &[u8]) -> Vec<u8> {
+/// The 16-byte header of a frame carrying `payload`.
+fn frame_header(ftype: u8, payload: &[u8]) -> [u8; FRAME_HEADER_LEN] {
     assert!(
         payload.len() as u64 <= MAX_FRAME_LEN as u64,
         "frame too big"
     );
+    let mut hdr = [0u8; FRAME_HEADER_LEN];
+    hdr[0..4].copy_from_slice(&FRAME_MAGIC);
+    hdr[4] = ftype;
+    // hdr[5..8]: flags and reserved, zero in v1.
+    hdr[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    hdr[12..16].copy_from_slice(&crc32(payload).to_le_bytes());
+    hdr
+}
+
+/// Encodes one frame into a byte vector.
+pub fn encode_frame(ftype: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.push(ftype);
-    out.push(0); // flags
-    out.extend_from_slice(&0u16.to_le_bytes()); // reserved
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&frame_header(ftype, payload));
     out.extend_from_slice(payload);
     out
 }
 
-/// Writes one frame (header + payload + flush).
+/// Writes one frame (header + payload + flush) as one vectored write,
+/// without copying the payload.
 pub fn write_frame(w: &mut impl Write, ftype: u8, payload: &[u8]) -> Result<(), FrameError> {
-    w.write_all(&encode_frame(ftype, payload))?;
+    let hdr = frame_header(ftype, payload);
+    let mut slices = [IoSlice::new(&hdr), IoSlice::new(payload)];
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     w.flush()?;
     Ok(())
 }
 
 /// Reads one frame, validating magic, reserved bits, length, and CRC.
+///
+/// At most [`MAX_FRAME_RESERVE`] bytes are reserved before the payload
+/// arrives; the buffer is filled without being zeroed first.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
     let mut hdr = [0u8; FRAME_HEADER_LEN];
     match read_fully(r, &mut hdr) {
@@ -207,17 +240,20 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
     if len > MAX_FRAME_LEN {
         return Err(FrameError::TooLarge(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    match read_fully(r, &mut payload) {
-        Ok(()) => {}
-        Err(ShortRead::Eof { .. }) => return Err(FrameError::Truncated { what: "payload" }),
-        Err(ShortRead::Io(e)) => return Err(FrameError::Io(e)),
+    let mut payload = Vec::with_capacity((len as usize).min(MAX_FRAME_RESERVE));
+    r.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() != len as usize {
+        return Err(FrameError::Truncated { what: "payload" });
     }
     let computed = crc32(&payload);
     if computed != stored {
         return Err(FrameError::Crc { stored, computed });
     }
-    Ok(Frame { ftype, payload })
+    Ok(Frame {
+        ftype,
+        payload,
+        crc: stored,
+    })
 }
 
 /// Parses a frame payload as a JSON object.
@@ -250,6 +286,21 @@ pub fn split_chunk_payload(payload: &[u8]) -> Result<(u64, &[u8]), FrameError> {
     }
     let seq = u64::from_le_bytes(payload[0..8].try_into().expect("8 bytes"));
     Ok((seq, &payload[8..]))
+}
+
+/// Bytes of a [`CHUNK`] payload in front of the embedded wire chunk's
+/// own payload: the sequence number and the chunk header.
+const CHUNK_PREFIX_LEN: usize = 8 + CHUNK_HEADER_LEN as usize;
+
+/// The CRC-32 of the wire-chunk payload inside a [`CHUNK`] frame (what
+/// that chunk's header CRC must equal), derived from the frame CRC
+/// [`read_frame`] verified: `frame.crc` split past the first 24 bytes,
+/// the only ones hashed here. Exact for any payload length; a payload too
+/// short to hold a chunk header yields the CRC of its empty remainder.
+pub(crate) fn wire_payload_crc(frame: &Frame) -> u32 {
+    let head = frame.payload.len().min(CHUNK_PREFIX_LEN);
+    let tail = (frame.payload.len() - head) as u64;
+    crc32_combine(crc32(&frame.payload[..head]), frame.crc, tail)
 }
 
 enum ShortRead {
@@ -316,6 +367,55 @@ mod tests {
             read_frame(&mut &bad[..]),
             Err(FrameError::TooLarge(_))
         ));
+    }
+
+    /// A writer taking at most 5 bytes per call, one slice at a time.
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(5);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn partial_writes_emit_the_encoded_frame() {
+        let payload: Vec<u8> = (0..=255).collect();
+        let mut w = Trickle(Vec::new());
+        write_frame(&mut w, CHUNK, &payload).unwrap();
+        assert_eq!(w.0, encode_frame(CHUNK, &payload));
+        let mut v = Vec::new();
+        write_frame(&mut v, BYE, &[]).unwrap();
+        assert_eq!(v, encode_frame(BYE, &[]));
+    }
+
+    #[test]
+    fn payloads_longer_than_the_reserve_read_whole() {
+        let payload: Vec<u8> = (0..MAX_FRAME_RESERVE + 70_001).map(|i| i as u8).collect();
+        let bytes = encode_frame(CHUNK, &payload);
+        let f = read_frame(&mut &bytes[..]).unwrap();
+        assert_eq!(f.payload, payload);
+        assert_eq!(f.crc, crc32(&payload));
+        assert!(matches!(
+            read_frame(&mut &bytes[..bytes.len() - 1]),
+            Err(FrameError::Truncated { what: "payload" })
+        ));
+    }
+
+    #[test]
+    fn derived_wire_crc_equals_a_direct_hash() {
+        let wire: Vec<u8> = (0..40_000u32).map(|i| (i * 7 + i / 251) as u8).collect();
+        for len in [0, 1, 7, 8, 23, 24, 25, 40_000] {
+            let bytes = encode_frame(CHUNK, &chunk_payload(9, &wire[..len]));
+            let f = read_frame(&mut &bytes[..]).unwrap();
+            let direct = crc32(f.payload.get(CHUNK_PREFIX_LEN..).unwrap_or_default());
+            assert_eq!(wire_payload_crc(&f), direct, "wire chunk of {len} bytes");
+        }
     }
 
     #[test]

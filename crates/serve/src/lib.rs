@@ -44,7 +44,11 @@
 //! stream profile of the container format — see `tracefile::stream`),
 //! prefixed with a little-endian `u64` sequence number. The server accepts
 //! only the exact next sequence number, so backpressure refusals
-//! (go-back-N) can never reorder or duplicate predictor updates.
+//! (go-back-N) can never reorder or duplicate predictor updates. Both
+//! CRCs are checked exactly, yet the server hashes each received byte
+//! once: the frame CRC as the frame is read, and the wire chunk's payload
+//! CRC is derived from it (`frame::wire_payload_crc`) and compared with
+//! the one in the chunk header.
 //!
 //! Control conversations (no session): `STATUS_REQ` → `STATUS`,
 //! `METRICS_REQ` → `METRICS` (Prometheus exposition text), `HEALTH_REQ` →

@@ -44,7 +44,7 @@ use obs::health::HealthState;
 use obs::log::{self as jlog, Value};
 use obs::sample::SharedRegistry;
 use obs::JsonValue;
-use tracefile::{decode_wire_chunk, DEFAULT_CHUNK_CAP};
+use tracefile::{decode_wire_chunk_with_crc, DEFAULT_CHUNK_CAP};
 
 use crate::frame::{self, Frame, FrameError};
 use crate::session::{SessionCore, SessionParams, HEALTH_SCHEMA, MAX_TABLE_ENTRIES};
@@ -366,8 +366,9 @@ impl ServerState {
 
 /// What the reader hands the worker.
 enum Work {
-    /// One validated-frame (not yet validated-chunk) payload to feed.
-    Chunk(Vec<u8>),
+    /// One validated (CRC-checked) CHUNK frame whose embedded wire chunk
+    /// is not yet validated.
+    Chunk(Frame),
     /// End of stream; send a final REPORT with this reason.
     End(&'static str),
 }
@@ -626,7 +627,7 @@ fn session_reader(
                     busy(state, core, writer, accepted, seq, over_global);
                     continue;
                 }
-                match tx.try_send(Work::Chunk(f.payload)) {
+                match tx.try_send(Work::Chunk(f)) {
                     Ok(()) => {
                         state.queued.fetch_add(1, Ordering::SeqCst);
                         accepted += 1;
@@ -732,16 +733,22 @@ fn session_worker(
             slot.wake_reader();
         }
     };
+    // One decode buffer for the session's life, cleared per chunk.
+    let mut insts = Vec::new();
     while let Ok(item) = rx.recv() {
         match item {
-            Work::Chunk(payload) => {
+            Work::Chunk(f) => {
                 state.queued.fetch_sub(1, Ordering::SeqCst);
-                let (seq, wire) = match frame::split_chunk_payload(&payload) {
+                let (seq, wire) = match frame::split_chunk_payload(&f.payload) {
                     Ok(x) => x,
                     Err(_) => unreachable!("reader validated the sequence prefix"),
                 };
-                let mut insts = Vec::new();
-                if let Err(e) = decode_wire_chunk(wire, DEFAULT_CHUNK_CAP, &mut insts) {
+                // The frame CRC covers the wire chunk: derive its payload
+                // CRC from it instead of hashing the payload again.
+                let crc = frame::wire_payload_crc(&f);
+                insts.clear();
+                if let Err(e) = decode_wire_chunk_with_crc(wire, crc, DEFAULT_CHUNK_CAP, &mut insts)
+                {
                     let chunk = core.lock().unwrap().chunks();
                     let detail = format!("chunk {chunk}: {e}");
                     kill(

@@ -166,22 +166,24 @@ fn malformed_frame_kills_session_never_daemon() {
     h.join();
 }
 
-#[test]
-fn crc_corrupt_chunk_mid_session_kills_session_only() {
-    let h = start("corrupt", ServeConfig::default());
-    let (mut r, mut w) = connect(&h);
-
-    frame::write_json(&mut w, frame::HELLO, &params(Benchmark::Mcf).to_hello()).unwrap();
+/// Opens a session for `bench`, sends chunk 0 clean and chunk 1 damaged
+/// by `damage` (after chunk encoding, so the frame CRC stays valid), and
+/// expects one ACK and then a `corrupt-chunk` ERROR naming chunk 1 whose
+/// detail contains `want`. Returns the clean chunks.
+fn expect_corrupt_chunk(
+    h: &ServerHandle,
+    bench: Benchmark,
+    damage: impl FnOnce(&mut Vec<u8>),
+    want: &str,
+) -> Vec<Vec<u8>> {
+    let (mut r, mut w) = connect(h);
+    frame::write_json(&mut w, frame::HELLO, &params(bench).to_hello()).unwrap();
     assert_eq!(frame::read_frame(&mut r).unwrap().ftype, frame::WELCOME);
 
-    let chunks = wire_chunks(Benchmark::Mcf, 800);
-    // Chunk 0 is clean; chunk 1's embedded payload is flipped *after*
-    // chunk encoding, so the frame CRC is valid but the tracefile CRC
-    // inside is not — corruption that arrives mid-session.
+    let chunks = wire_chunks(bench, 800);
     frame::write_frame(&mut w, frame::CHUNK, &frame::chunk_payload(0, &chunks[0])).unwrap();
     let mut bad = chunks[1].clone();
-    let last = bad.len() - 1;
-    bad[last] ^= 0x40;
+    damage(&mut bad);
     frame::write_frame(&mut w, frame::CHUNK, &frame::chunk_payload(1, &bad)).unwrap();
 
     // One ACK for the clean chunk, then an ERROR naming the corrupt one.
@@ -189,7 +191,12 @@ fn crc_corrupt_chunk_mid_session_kills_session_only() {
     for _ in 0..3 {
         let f = frame::read_frame(&mut r).expect("frame");
         match f.ftype {
-            frame::ACK | frame::BUSY => continue,
+            frame::ACK => {
+                let v = frame::json_payload(&f).unwrap();
+                let acked = v.path("chunks").and_then(|c| c.as_f64());
+                assert_eq!(acked, Some(1.0), "the corrupt chunk was acknowledged");
+            }
+            frame::BUSY => continue,
             frame::ERROR => {
                 let v = frame::json_payload(&f).unwrap();
                 assert_eq!(
@@ -198,7 +205,7 @@ fn crc_corrupt_chunk_mid_session_kills_session_only() {
                 );
                 let detail = v.path("detail").and_then(|d| d.as_str()).unwrap();
                 assert!(detail.contains("chunk 1"), "detail: {detail}");
-                assert!(detail.contains("crc"), "detail: {detail}");
+                assert!(detail.contains(want), "detail: {detail}");
                 saw_error = true;
                 break;
             }
@@ -206,6 +213,24 @@ fn crc_corrupt_chunk_mid_session_kills_session_only() {
         }
     }
     assert!(saw_error);
+    chunks
+}
+
+#[test]
+fn crc_corrupt_chunk_mid_session_kills_session_only() {
+    let h = start("corrupt", ServeConfig::default());
+    // Chunk 1's embedded payload is flipped, so the frame CRC is valid but
+    // the tracefile CRC inside is not: corruption that arrives
+    // mid-session.
+    let chunks = expect_corrupt_chunk(
+        &h,
+        Benchmark::Mcf,
+        |bad| {
+            let last = bad.len() - 1;
+            bad[last] ^= 0x40;
+        },
+        "crc",
+    );
 
     // The daemon still serves: same session name is free again after the
     // kill, and a full run succeeds.
@@ -225,6 +250,22 @@ fn crc_corrupt_chunk_mid_session_kills_session_only() {
         }
     };
     assert_report_matches(&out.report, Benchmark::Mcf);
+    h.request_shutdown();
+    h.join();
+}
+
+#[test]
+fn corrupt_stored_wire_crc_kills_session_with_corrupt_chunk() {
+    // The payload is intact but the CRC field of chunk 1's header (bytes
+    // 12..16) is not, under a valid frame CRC: the daemon derives the
+    // payload CRC from the frame CRC and must still compare it exactly.
+    let h = start("corrupt-crc-field", ServeConfig::default());
+    expect_corrupt_chunk(
+        &h,
+        Benchmark::Vortex,
+        |bad| bad[12] ^= 0x01,
+        "payload crc mismatch",
+    );
     h.request_shutdown();
     h.join();
 }

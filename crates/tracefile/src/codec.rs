@@ -33,7 +33,7 @@
 
 use workloads::{DynInst, OpClass};
 
-use crate::varint::{get_ivarint, put_ivarint, MAX_VARINT_LEN};
+use crate::varint::{get_ivarint, put_ivarint, unzigzag, MAX_VARINT_LEN};
 
 /// Number of op classes (tag values `0..OP_CLASSES` are valid).
 pub const OP_CLASSES: usize = 7;
@@ -260,19 +260,121 @@ pub fn decode_inst(
     })
 }
 
+/// One varint at `*p` of a record window, the one-byte case first.
+/// Accepts exactly what [`get_uvarint`](crate::varint::get_uvarint)
+/// accepts; it cannot run off the window, since a record of four
+/// maximal varints is [`MAX_RECORD_LEN`] bytes long.
+#[inline]
+fn window_varint(w: &[u8; MAX_RECORD_LEN], p: &mut usize) -> Option<i64> {
+    let b = w[*p];
+    *p += 1;
+    if b < 0x80 {
+        return Some(unzigzag(u64::from(b)));
+    }
+    let mut v = u64::from(b & 0x7f);
+    let mut shift = 7;
+    loop {
+        let b = w[*p];
+        *p += 1;
+        // The 10th byte may only contribute the u64's top bit.
+        if shift == 63 && b > 1 {
+            return None;
+        }
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return Some(unzigzag(v));
+        }
+        shift += 7;
+    }
+}
+
+/// The fast path of [`decode_payload`]: decodes one record from a window
+/// holding at least a worst-case record, into locals, and returns it with
+/// its length. `state` is committed only once the whole record decoded;
+/// on any anomaly (bad op code, overlong or overflowing varint) it is left
+/// untouched and the result is `None`, so [`decode_inst`] can decode the
+/// record again from its start and report the error.
+#[inline]
+fn decode_window(w: &[u8; MAX_RECORD_LEN], state: &mut DeltaState) -> Option<(DynInst, usize)> {
+    let tag = w[0];
+    let op = op_from_code(tag & 0x07)?;
+    let cls = (tag & 0x07) as usize;
+    let mut p = 1;
+    let pc = undelta(state.last_pc, window_varint(w, &mut p)?);
+    let mut reg = |flag: u8| {
+        (tag & flag != 0).then(|| {
+            p += 1;
+            w[p - 1]
+        })
+    };
+    let (dst, src0, src1) = (reg(TAG_DST), reg(TAG_SRC0), reg(TAG_SRC1));
+    let value = if tag & TAG_DST != 0 {
+        Some(undelta(state.last_value[cls], window_varint(w, &mut p)?))
+    } else {
+        None
+    };
+    let mem_addr = if tag & TAG_MEM != 0 {
+        Some(undelta(state.last_ea[cls], window_varint(w, &mut p)?))
+    } else {
+        None
+    };
+    let target = if matches!(op, OpClass::Branch | OpClass::Jump) {
+        Some(undelta(state.last_target, window_varint(w, &mut p)?))
+    } else {
+        None
+    };
+    state.last_pc = pc;
+    if let Some(v) = value {
+        state.last_value[cls] = v;
+    }
+    if let Some(a) = mem_addr {
+        state.last_ea[cls] = a;
+    }
+    if let Some(t) = target {
+        state.last_target = t;
+    }
+    let inst = DynInst {
+        pc,
+        op,
+        dst,
+        srcs: [src0, src1],
+        value: value.unwrap_or(0),
+        mem_addr,
+        taken: tag & TAG_TAKEN != 0,
+        target: target.unwrap_or(0),
+    };
+    Some((inst, p))
+}
+
 /// Decodes exactly `count` instructions from a whole chunk payload.
 ///
 /// The payload must contain nothing else: leftover bytes after the last
 /// record report as [`PayloadErrorKind::TrailingBytes`].
+///
+/// While at least [`MAX_RECORD_LEN`] bytes remain, a record decodes
+/// through a fixed-size window with a one-byte varint fast path. A record
+/// the window rejects, and every record in the payload's last
+/// `MAX_RECORD_LEN` bytes, goes through [`decode_inst`] from the record's
+/// start with the state unmodified, so `decode_inst` alone decides every
+/// error: the same record, kind and offset.
 pub fn decode_payload(buf: &[u8], count: u32, out: &mut Vec<DynInst>) -> Result<(), PayloadError> {
     let mut state = DeltaState::new();
     let mut pos = 0usize;
     out.reserve(count as usize);
     for i in 0..count {
-        let inst = decode_inst(buf, &mut pos, &mut state).map_err(|e| PayloadError {
-            record: i,
-            kind: PayloadErrorKind::Decode(e),
-        })?;
+        let fast = buf
+            .get(pos..pos + MAX_RECORD_LEN)
+            .and_then(|w| decode_window(w.try_into().expect("window length"), &mut state));
+        let inst = match fast {
+            Some((inst, len)) => {
+                pos += len;
+                inst
+            }
+            None => decode_inst(buf, &mut pos, &mut state).map_err(|e| PayloadError {
+                record: i,
+                kind: PayloadErrorKind::Decode(e),
+            })?,
+        };
         out.push(inst);
     }
     if pos != buf.len() {

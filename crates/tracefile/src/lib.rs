@@ -67,6 +67,6 @@ pub use container::{
 pub use convert::{binary_to_text, text_to_binary, ConvertStats};
 pub use source::FileSource;
 pub use stream::{
-    decode_wire_chunk, encode_wire_chunk, StreamReader, StreamWriter, WireChunk, WireError,
-    END_MARKER, END_STREAM_ID,
+    decode_wire_chunk, decode_wire_chunk_with_crc, encode_wire_chunk, StreamReader, StreamWriter,
+    WireChunk, WireError, END_MARKER, END_STREAM_ID,
 };

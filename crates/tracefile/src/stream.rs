@@ -156,6 +156,23 @@ pub fn decode_wire_chunk(
     chunk_cap: u32,
     out: &mut Vec<DynInst>,
 ) -> Result<WireChunk, WireError> {
+    let payload = bytes.get(CHUNK_HEADER_LEN as usize..).unwrap_or_default();
+    decode_wire_chunk_with_crc(bytes, crc32(payload), chunk_cap, out)
+}
+
+/// [`decode_wire_chunk`] for a caller that already holds `payload_crc`,
+/// the CRC-32 of `bytes[CHUNK_HEADER_LEN..]` (everything after the chunk
+/// header), so the payload is not hashed again. The serve daemon derives
+/// it from the frame CRC it verified with
+/// [`crc32_combine`](crate::crc32::crc32_combine). The stored CRC must
+/// still equal it exactly: every check is the same as
+/// `decode_wire_chunk`'s.
+pub fn decode_wire_chunk_with_crc(
+    bytes: &[u8],
+    payload_crc: u32,
+    chunk_cap: u32,
+    out: &mut Vec<DynInst>,
+) -> Result<WireChunk, WireError> {
     let hdr_len = CHUNK_HEADER_LEN as usize;
     if bytes.len() < hdr_len {
         return Err(WireError::Truncated {
@@ -181,11 +198,10 @@ pub fn decode_wire_chunk(
         });
     }
     let payload = &bytes[hdr_len..];
-    let computed = crc32(payload);
-    if computed != stored_crc {
+    if payload_crc != stored_crc {
         return Err(WireError::Crc {
             stored: stored_crc,
-            computed,
+            computed: payload_crc,
         });
     }
     decode_payload(payload, count, out).map_err(|e| WireError::Payload(e.to_string()))?;
