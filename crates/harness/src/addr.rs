@@ -17,7 +17,7 @@ use predictors::{
     Capacity, GatedPredictor, MarkovConfig, MarkovPredictor, PredictorStats, StridePredictor,
     ValuePredictor,
 };
-use workloads::{Benchmark, DynInst, OpClass, SyntheticSource, TraceSource};
+use workloads::{Benchmark, DynInst, OpClass, TraceSource};
 
 use crate::pipe::pipeline_trace_len;
 use crate::RunParams;
@@ -150,24 +150,8 @@ fn cov_acc(s: &PredictorStats) -> (f64, f64) {
     (s.coverage(), s.gated_accuracy())
 }
 
-/// Regenerates Figure 18 (both panels) for all benchmarks.
-pub fn fig18(params: RunParams, markov: MarkovConfig) -> Vec<Fig18Row> {
-    fig18_on(&SyntheticSource::new(params.seed), params, markov)
-}
-
-/// [`fig18`] against an explicit instruction origin.
-pub fn fig18_on(
-    source: &dyn TraceSource,
-    params: RunParams,
-    markov: MarkovConfig,
-) -> Vec<Fig18Row> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|bench| fig18_bench(source, bench, params, markov))
-        .collect()
-}
-
-/// One benchmark's Figure 18 row — the independently schedulable cell.
+/// One benchmark's row of Figure 18 (both panels: all loads and missing
+/// loads).
 pub fn fig18_bench(
     source: &dyn TraceSource,
     bench: Benchmark,
@@ -196,6 +180,15 @@ pub fn fig18_bench(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench_rows;
+
+    fn fig18_tiny() -> Vec<Fig18Row> {
+        let markov = MarkovConfig {
+            entries: 64 * 1024,
+            ways: 4,
+        };
+        bench_rows(RunParams::tiny(), |s, b, p| fig18_bench(s, b, p, markov))
+    }
 
     fn mean(xs: impl IntoIterator<Item = f64>) -> f64 {
         let v: Vec<f64> = xs.into_iter().collect();
@@ -204,13 +197,7 @@ mod tests {
 
     #[test]
     fn fig18_gdiff_has_best_coverage_accuracy_combination() {
-        let rows = fig18(
-            RunParams::tiny(),
-            MarkovConfig {
-                entries: 64 * 1024,
-                ways: 4,
-            },
-        );
+        let rows = fig18_tiny();
         let g_cov = mean(rows.iter().map(|r| r.gdiff.0));
         let s_cov = mean(rows.iter().map(|r| r.stride.0));
         let g_acc = mean(rows.iter().map(|r| r.gdiff.1));
@@ -240,13 +227,7 @@ mod tests {
 
     #[test]
     fn fig18_missing_loads_are_harder() {
-        let rows = fig18(
-            RunParams::tiny(),
-            MarkovConfig {
-                entries: 64 * 1024,
-                ways: 4,
-            },
-        );
+        let rows = fig18_tiny();
         // Averaged over benchmarks, missing-load accuracy/coverage is at
         // most all-load accuracy (they are the pathological subset).
         let all = mean(rows.iter().map(|r| r.gdiff.0));

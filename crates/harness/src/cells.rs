@@ -101,7 +101,7 @@ pub fn plan_for<'a>(
                 .into_iter()
                 .map(|bench| {
                     Cell::new(format!("{exp}/{bench}"), move |reg: &mut Registry| {
-                        crate::fig9_bench_obs(source, bench, profile, reg)
+                        crate::fig9_bench(source, bench, profile, reg)
                     })
                 })
                 .collect();

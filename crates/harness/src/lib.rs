@@ -1,30 +1,32 @@
 //! Experiment harness: regenerates every table and figure of the paper's
 //! evaluation.
 //!
-//! Each `figN`/`tableN` function reproduces the corresponding exhibit:
-//! it runs the same predictors over the same (synthetic-substitute)
-//! benchmarks with the paper's parameters and returns the series the paper
-//! plots, as structured data. The `harness` binary prints them as aligned
-//! text tables; `EXPERIMENTS.md` records paper-vs-measured values.
+//! Each exhibit is computed by one cell function: it runs the same
+//! predictors over one (synthetic-substitute or recorded) benchmark, or
+//! one sweep point, with the paper's parameters and returns the row the
+//! paper plots, as structured data. [`cells::plan_for`] fans an exhibit out
+//! into those cells, the scheduler runs them, and [`render`] turns the rows
+//! into the `harness` binary's text tables and report JSON;
+//! `EXPERIMENTS.md` records paper-vs-measured values.
 //!
-//! | Function | Paper exhibit |
-//! |----------|---------------|
-//! | [`fig1`] | Figure 1 — a hard-to-predict value sequence (parser) |
-//! | [`fig8`] | Figure 8 — profile accuracy: stride vs DFCM vs gDiff(q=8) |
-//! | [`fig9`] | Figure 9 — aliasing (conflict) rate vs table size |
-//! | [`fig10`] | Figure 10 — accuracy vs value delay T |
-//! | [`fig12`] | Figure 12 — value-delay distribution in the OOO pipeline |
-//! | [`fig13`] | Figure 13 — SGVQ gDiff vs local stride (accuracy/coverage) |
-//! | [`fig16`] | Figure 16 — HGVQ gDiff vs local stride vs local context |
-//! | [`fig18`] | Figure 18 — load-address predictability (all + missing loads) |
-//! | [`table2`] | Table 2 — baseline IPC |
-//! | [`fig19`] | Figure 19 — value-speculation speedups |
-//! | [`ablate_queue`] | queue-order ablation (the gap effect) |
-//! | [`ablate_filler`] | HGVQ filler ablation |
-//! | [`ablate_confidence`] | confidence-mechanism ablation |
-//! | [`ablate_depth`] | deeper front ends (§8 future work) |
-//! | [`prefetch`] | address-prediction-driven prefetching (§6/§8 future work) |
-//! | [`limit`] | perfect-value-prediction headroom (Sazeides-style) |
+//! | Cell function | Paper exhibit |
+//! |---------------|---------------|
+//! | [`fig1_on`] | Figure 1 — a hard-to-predict value sequence (parser) |
+//! | [`fig8_bench`] | Figure 8 — profile accuracy: stride vs DFCM vs gDiff(q=8) |
+//! | [`fig9_bench`] | Figure 9 — aliasing (conflict) rate vs table size |
+//! | [`fig10_bench`] | Figure 10 — accuracy vs value delay T |
+//! | [`fig12_on`] | Figure 12 — value-delay distribution in the OOO pipeline |
+//! | [`fig13_bench`] | Figure 13 — SGVQ gDiff vs local stride (accuracy/coverage) |
+//! | [`fig16_bench`] | Figure 16 — HGVQ gDiff vs local stride vs local context |
+//! | [`fig18_bench`] | Figure 18 — load-address predictability (all + missing loads) |
+//! | [`table2_bench`] | Table 2 — baseline IPC |
+//! | [`fig19_bench`] | Figure 19 — value-speculation speedups |
+//! | [`ablate_queue_bench`] | queue-order ablation (the gap effect) |
+//! | [`ablate_filler_bench`] | HGVQ filler ablation |
+//! | [`ablate_confidence_point`] | confidence-mechanism ablation |
+//! | [`ablate_depth_point`] | deeper front ends (§8 future work) |
+//! | [`prefetch_bench`] | address-prediction-driven prefetching (§6/§8 future work) |
+//! | [`limit_bench`] | perfect-value-prediction headroom (Sazeides-style) |
 
 #![forbid(unsafe_code)]
 #![warn(missing_debug_implementations)]
@@ -45,22 +47,19 @@ pub mod serve_cli;
 pub mod sweep;
 pub mod taps;
 
-pub use addr::{fig18, fig18_bench, fig18_on, Fig18Row};
+pub use addr::{fig18_bench, Fig18Row};
 pub use benchdiff::{diff_reports, DiffReport, DiffRow, DEFAULT_THRESHOLD_PCT};
 pub use explain::{explain_cell, explain_plan, ExplainCell, EXPLAIN_EXPERIMENTS};
 pub use grid::{GridCell, GridSpec};
 pub use pipe::{
-    ablate_confidence, ablate_confidence_on, ablate_confidence_point, ablate_confidence_thresholds,
-    ablate_depth, ablate_depth_on, ablate_depth_point, ablate_depth_points, ablate_filler,
-    ablate_filler_bench, ablate_filler_on, fig12, fig12_on, fig13, fig13_bench, fig13_on, fig16,
-    fig16_bench, fig16_on, fig19, fig19_bench, fig19_on, limit, limit_bench, limit_on, prefetch,
-    prefetch_bench, prefetch_on, table2, table2_bench, table2_on, ConfidenceRow, DelayDistribution,
-    DepthRow, FillerRow, LimitRow, PipelineVpRow, PrefetchRow, SpeedupRow,
+    ablate_confidence_point, ablate_confidence_thresholds, ablate_depth_point, ablate_depth_points,
+    ablate_filler_bench, fig12_on, fig13_bench, fig16_bench, fig19_bench, limit_bench,
+    prefetch_bench, table2_bench, ConfidenceRow, DelayDistribution, DepthRow, FillerRow, LimitRow,
+    PipelineVpRow, PrefetchRow, SpeedupRow,
 };
 pub use profile::{
-    ablate_queue, ablate_queue_bench, ablate_queue_on, fig1, fig10, fig10_bench, fig10_on, fig1_on,
-    fig8, fig8_bench, fig8_on, fig9, fig9_bench, fig9_bench_obs, fig9_on, Fig10Row, Fig8Row,
-    Fig9Row, QueueRow,
+    ablate_queue_bench, fig10_bench, fig1_on, fig8_bench, fig9_bench, Fig10Row, Fig8Row, Fig9Row,
+    QueueRow,
 };
 pub use record::{open_replay, record, RecordReport, ReplayError, ReplayPlan};
 pub use sched::{
@@ -133,4 +132,18 @@ impl RunParams {
             measure: ((self.measure as f64 * f) as u64).max(10_000),
         }
     }
+}
+
+/// Runs `cell` over every benchmark of the synthetic models, in
+/// `Benchmark::ALL` order: a per-benchmark plan's rows, computed serially.
+#[cfg(test)]
+pub(crate) fn bench_rows<T>(
+    params: RunParams,
+    cell: impl Fn(&dyn workloads::TraceSource, workloads::Benchmark, RunParams) -> T,
+) -> Vec<T> {
+    let source = workloads::SyntheticSource::new(params.seed);
+    workloads::Benchmark::ALL
+        .into_iter()
+        .map(|bench| cell(&source, bench, params))
+        .collect()
 }

@@ -18,9 +18,10 @@ pub fn pipeline_trace_len(params: RunParams) -> usize {
     (params.warmup + params.measure + 50_000) as usize * 2
 }
 
-/// Runs one benchmark through the Table 1 pipeline with `engine`.
+/// Runs one benchmark of the synthetic models through the Table 1
+/// pipeline with `engine`.
 pub fn run_pipeline(bench: Benchmark, engine: Box<dyn VpEngine>, params: RunParams) -> SimStats {
-    run_pipeline_configured(bench, engine, None, PipelineConfig::r10k(), params)
+    run_pipeline_on(&SyntheticSource::new(params.seed), bench, engine, params)
 }
 
 /// [`run_pipeline`] with an explicit instruction origin: the synthetic
@@ -53,24 +54,6 @@ pub fn run_pipeline_with_provenance(
 
 /// Full-control pipeline run: custom machine configuration and optional
 /// prefetcher.
-pub fn run_pipeline_configured(
-    bench: Benchmark,
-    engine: Box<dyn VpEngine>,
-    prefetcher: Option<Box<dyn Prefetcher>>,
-    config: PipelineConfig,
-    params: RunParams,
-) -> SimStats {
-    run_pipeline_configured_on(
-        &SyntheticSource::new(params.seed),
-        bench,
-        engine,
-        prefetcher,
-        config,
-        params,
-    )
-}
-
-/// [`run_pipeline_configured`] with an explicit instruction origin.
 pub fn run_pipeline_configured_on(
     source: &dyn TraceSource,
     bench: Benchmark,
@@ -119,11 +102,6 @@ impl DelayDistribution {
 
 /// Regenerates Figure 12: the distribution of value delays (values
 /// produced between dispatch and write-back) in the OOO pipeline.
-pub fn fig12(params: RunParams) -> DelayDistribution {
-    fig12_on(&SyntheticSource::new(params.seed), params)
-}
-
-/// [`fig12`] against an explicit instruction origin.
 pub fn fig12_on(source: &dyn TraceSource, params: RunParams) -> DelayDistribution {
     let bench = Benchmark::Vortex;
     let stats = run_pipeline_on(source, bench, Box::new(NoVp), params);
@@ -158,18 +136,6 @@ pub struct PipelineVpRow {
     pub context_coverage: f64,
 }
 
-fn vp_comparison(
-    source: &dyn TraceSource,
-    params: RunParams,
-    gdiff: fn() -> Box<dyn VpEngine>,
-    with_context: bool,
-) -> Vec<PipelineVpRow> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|bench| vp_comparison_bench(source, bench, params, gdiff, with_context))
-        .collect()
-}
-
 fn vp_comparison_bench(
     source: &dyn TraceSource,
     bench: Benchmark,
@@ -196,7 +162,9 @@ fn vp_comparison_bench(
     }
 }
 
-/// One benchmark's Figure 13 row — the independently schedulable cell.
+/// One benchmark's row of Figure 13: gDiff with the *speculative* GVQ
+/// (order 32) vs the local stride predictor, in the pipeline, 3-bit
+/// confidence.
 pub fn fig13_bench(source: &dyn TraceSource, bench: Benchmark, params: RunParams) -> PipelineVpRow {
     vp_comparison_bench(
         source,
@@ -207,7 +175,8 @@ pub fn fig13_bench(source: &dyn TraceSource, bench: Benchmark, params: RunParams
     )
 }
 
-/// One benchmark's Figure 16 row — the independently schedulable cell.
+/// One benchmark's row of Figure 16: gDiff with the *hybrid* GVQ
+/// (order 32) vs local stride vs local context.
 pub fn fig16_bench(source: &dyn TraceSource, bench: Benchmark, params: RunParams) -> PipelineVpRow {
     vp_comparison_bench(
         source,
@@ -218,56 +187,11 @@ pub fn fig16_bench(source: &dyn TraceSource, bench: Benchmark, params: RunParams
     )
 }
 
-/// Regenerates Figure 13: gDiff with the *speculative* GVQ (order 32)
-/// vs the local stride predictor, in the pipeline, 3-bit confidence.
-pub fn fig13(params: RunParams) -> Vec<PipelineVpRow> {
-    fig13_on(&SyntheticSource::new(params.seed), params)
-}
-
-/// [`fig13`] against an explicit instruction origin.
-pub fn fig13_on(source: &dyn TraceSource, params: RunParams) -> Vec<PipelineVpRow> {
-    vp_comparison(
-        source,
-        params,
-        || Box::new(SgvqEngine::paper_default()),
-        false,
-    )
-}
-
-/// Regenerates Figure 16: gDiff with the *hybrid* GVQ (order 32) vs local
-/// stride vs local context.
-pub fn fig16(params: RunParams) -> Vec<PipelineVpRow> {
-    fig16_on(&SyntheticSource::new(params.seed), params)
-}
-
-/// [`fig16`] against an explicit instruction origin.
-pub fn fig16_on(source: &dyn TraceSource, params: RunParams) -> Vec<PipelineVpRow> {
-    vp_comparison(
-        source,
-        params,
-        || Box::new(HgvqEngine::paper_default()),
-        true,
-    )
-}
-
 // ---------------------------------------------------------------------
 // Table 2 and Figure 19
 // ---------------------------------------------------------------------
 
-/// Baseline IPC (no value speculation) — Table 2.
-pub fn table2(params: RunParams) -> Vec<(Benchmark, f64)> {
-    table2_on(&SyntheticSource::new(params.seed), params)
-}
-
-/// [`table2`] against an explicit instruction origin.
-pub fn table2_on(source: &dyn TraceSource, params: RunParams) -> Vec<(Benchmark, f64)> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|b| table2_bench(source, b, params))
-        .collect()
-}
-
-/// One benchmark's baseline IPC — the independently schedulable cell.
+/// One benchmark's baseline IPC (no value speculation) — Table 2.
 pub fn table2_bench(
     source: &dyn TraceSource,
     bench: Benchmark,
@@ -294,20 +218,8 @@ pub struct SpeedupRow {
     pub gdiff: f64,
 }
 
-/// Regenerates Figure 19: per-benchmark speedups and their harmonic mean.
-pub fn fig19(params: RunParams) -> Vec<SpeedupRow> {
-    fig19_on(&SyntheticSource::new(params.seed), params)
-}
-
-/// [`fig19`] against an explicit instruction origin.
-pub fn fig19_on(source: &dyn TraceSource, params: RunParams) -> Vec<SpeedupRow> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|bench| fig19_bench(source, bench, params))
-        .collect()
-}
-
-/// One benchmark's Figure 19 row — the independently schedulable cell.
+/// One benchmark's row of Figure 19: the speedups of value speculation
+/// (the rendered table adds their harmonic mean).
 pub fn fig19_bench(source: &dyn TraceSource, bench: Benchmark, params: RunParams) -> SpeedupRow {
     let base = run_pipeline_on(source, bench, Box::new(NoVp), params).ipc();
     let st = run_pipeline_on(source, bench, Box::new(LocalEngine::stride_8k()), params).ipc();
@@ -345,22 +257,9 @@ pub struct FillerRow {
     pub no_filler: (f64, f64),
 }
 
-/// Ablates the HGVQ filler: paper's stride filler vs a last-value filler
-/// vs none (which degenerates to the SGVQ design).
-pub fn ablate_filler(params: RunParams) -> Vec<FillerRow> {
-    ablate_filler_on(&SyntheticSource::new(params.seed), params)
-}
-
-/// [`ablate_filler`] against an explicit instruction origin.
-pub fn ablate_filler_on(source: &dyn TraceSource, params: RunParams) -> Vec<FillerRow> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|bench| ablate_filler_bench(source, bench, params))
-        .collect()
-}
-
-/// One benchmark's filler-ablation row — the independently schedulable
-/// cell.
+/// One benchmark's row of the HGVQ filler ablation: the paper's stride
+/// filler vs a last-value filler vs none (which degenerates to the SGVQ
+/// design).
 pub fn ablate_filler_bench(
     source: &dyn TraceSource,
     bench: Benchmark,
@@ -402,27 +301,14 @@ pub struct ConfidenceRow {
     pub speedup: f64,
 }
 
-/// Ablates the 3-bit confidence mechanism on the HGVQ engine: thresholds
+/// The confidence thresholds swept by [`ablate_confidence_point`]:
 /// 0 (off), 2, 4 (paper), 6.
-pub fn ablate_confidence(params: RunParams) -> Vec<ConfidenceRow> {
-    ablate_confidence_on(&SyntheticSource::new(params.seed), params)
-}
-
-/// The confidence thresholds swept by [`ablate_confidence`].
 pub fn ablate_confidence_thresholds() -> [u8; 4] {
     [0, 2, 4, 6]
 }
 
-/// [`ablate_confidence`] against an explicit instruction origin.
-pub fn ablate_confidence_on(source: &dyn TraceSource, params: RunParams) -> Vec<ConfidenceRow> {
-    ablate_confidence_thresholds()
-        .into_iter()
-        .map(|threshold| ablate_confidence_point(source, threshold, params))
-        .collect()
-}
-
-/// One threshold's confidence-ablation row (all benchmarks inside) — the
-/// independently schedulable cell.
+/// One threshold's row of the ablation of the 3-bit confidence mechanism
+/// on the HGVQ engine (all benchmarks inside).
 pub fn ablate_confidence_point(
     source: &dyn TraceSource,
     threshold: u8,
@@ -486,24 +372,12 @@ pub struct PrefetchRow {
     pub gdiff_useful: f64,
 }
 
-/// The §6/§8 future-work extension: address-prediction-driven prefetching.
+/// One benchmark's row of the §6/§8 future-work extension,
+/// address-prediction-driven prefetching.
 ///
 /// Confidently predicted load addresses start their cache fill at dispatch;
 /// a later demand miss that finds the fill in flight pays only the
 /// remaining latency.
-pub fn prefetch(params: RunParams) -> Vec<PrefetchRow> {
-    prefetch_on(&SyntheticSource::new(params.seed), params)
-}
-
-/// [`prefetch`] against an explicit instruction origin.
-pub fn prefetch_on(source: &dyn TraceSource, params: RunParams) -> Vec<PrefetchRow> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|bench| prefetch_bench(source, bench, params))
-        .collect()
-}
-
-/// One benchmark's prefetch row — the independently schedulable cell.
 pub fn prefetch_bench(
     source: &dyn TraceSource,
     bench: Benchmark,
@@ -563,21 +437,9 @@ pub struct LimitRow {
     pub oracle: f64,
 }
 
-/// How much of the perfect-value-prediction headroom gDiff captures
-/// (the Sazeides \[24\] style limit study the paper's §7 leans on).
-pub fn limit(params: RunParams) -> Vec<LimitRow> {
-    limit_on(&SyntheticSource::new(params.seed), params)
-}
-
-/// [`limit`] against an explicit instruction origin.
-pub fn limit_on(source: &dyn TraceSource, params: RunParams) -> Vec<LimitRow> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|bench| limit_bench(source, bench, params))
-        .collect()
-}
-
-/// One benchmark's limit-study row — the independently schedulable cell.
+/// One benchmark's row of the limit study: how much of the
+/// perfect-value-prediction headroom gDiff captures (the Sazeides \[24\]
+/// style limit study the paper's §7 leans on).
 pub fn limit_bench(source: &dyn TraceSource, bench: Benchmark, params: RunParams) -> LimitRow {
     let base = run_pipeline_on(source, bench, Box::new(NoVp), params).ipc();
     let gd = run_pipeline_on(source, bench, Box::new(HgvqEngine::paper_default()), params).ipc();
@@ -605,30 +467,16 @@ pub struct DepthRow {
     pub stride_speedup: f64,
 }
 
-/// The §8 future-work question: how does value prediction interact with a
-/// deeper pipeline? The sweep measures the observed value delay and both
-/// predictors' speedups as the fetch→dispatch depth and redirect penalty
-/// grow.
-pub fn ablate_depth(params: RunParams) -> Vec<DepthRow> {
-    ablate_depth_on(&SyntheticSource::new(params.seed), params)
-}
-
 /// The (front-end depth, redirect penalty) points swept by
-/// [`ablate_depth`].
+/// [`ablate_depth_point`].
 pub fn ablate_depth_points() -> [(u64, u64); 4] {
     [(2, 3), (4, 6), (8, 10), (12, 16)]
 }
 
-/// [`ablate_depth`] against an explicit instruction origin.
-pub fn ablate_depth_on(source: &dyn TraceSource, params: RunParams) -> Vec<DepthRow> {
-    ablate_depth_points()
-        .into_iter()
-        .map(|point| ablate_depth_point(source, point, params))
-        .collect()
-}
-
-/// One (depth, redirect) point of the depth ablation (all benchmarks
-/// inside) — the independently schedulable cell.
+/// One (depth, redirect) point of the §8 future-work question: how does
+/// value prediction interact with a deeper pipeline? It measures the
+/// observed value delay and both predictors' speedups (all benchmarks
+/// inside) as the fetch→dispatch depth and redirect penalty grow.
 pub fn ablate_depth_point(
     source: &dyn TraceSource,
     (depth, redirect): (u64, u64),
@@ -678,10 +526,16 @@ pub fn ablate_depth_point(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench_rows;
+
+    fn fig12_tiny() -> DelayDistribution {
+        let params = RunParams::tiny();
+        fig12_on(&SyntheticSource::new(params.seed), params)
+    }
 
     #[test]
     fn fig12_mean_delay_is_moderate() {
-        let d = fig12(RunParams::tiny());
+        let d = fig12_tiny();
         assert!(d.mean > 1.0 && d.mean < 30.0, "mean {}", d.mean);
         let total: f64 = d.fractions.iter().sum();
         assert!(total > 0.5, "most delays within 0..=20: {total}");
@@ -689,7 +543,7 @@ mod tests {
 
     #[test]
     fn fig12_json_carries_sim_stats_and_percentiles() {
-        let d = fig12(RunParams::tiny());
+        let d = fig12_tiny();
         let j = d.to_json();
         // The acceptance surface of the run report: cycles, IPC, vp
         // accuracy/coverage, and delay percentiles must all be present
@@ -715,7 +569,7 @@ mod tests {
 
     #[test]
     fn fig16_gdiff_dominates_locals() {
-        let rows = fig16(RunParams::tiny());
+        let rows = bench_rows(RunParams::tiny(), fig16_bench);
         let g_cov: f64 = rows.iter().map(|r| r.gdiff_coverage).sum::<f64>() / rows.len() as f64;
         let s_cov: f64 = rows.iter().map(|r| r.stride_coverage).sum::<f64>() / rows.len() as f64;
         let c_cov: f64 = rows.iter().map(|r| r.context_coverage).sum::<f64>() / rows.len() as f64;
@@ -728,8 +582,8 @@ mod tests {
     #[test]
     fn fig13_sgvq_trails_hgvq() {
         let p = RunParams::tiny();
-        let sgvq = fig13(p);
-        let hgvq = fig16(p);
+        let sgvq = bench_rows(p, fig13_bench);
+        let hgvq = bench_rows(p, fig16_bench);
         let s: f64 = sgvq.iter().map(|r| r.gdiff_coverage).sum();
         let h: f64 = hgvq.iter().map(|r| r.gdiff_coverage).sum();
         assert!(h > s, "hybrid queue must add coverage: {h} vs {s}");
@@ -737,7 +591,7 @@ mod tests {
 
     #[test]
     fn fig19_gdiff_wins_harmonic_mean() {
-        let rows = fig19(RunParams::tiny());
+        let rows = bench_rows(RunParams::tiny(), fig19_bench);
         let g = harmonic_mean(rows.iter().map(|r| r.gdiff));
         let s = harmonic_mean(rows.iter().map(|r| r.local_stride));
         assert!(g >= s - 0.01, "gdiff {g} vs stride {s}");
@@ -747,9 +601,9 @@ mod tests {
     #[test]
     fn oracle_is_an_upper_bound() {
         let p = RunParams::tiny();
+        let src = SyntheticSource::new(p.seed);
         for bench in [Benchmark::Gcc, Benchmark::Twolf] {
-            let rows = limit(p);
-            let r = rows.iter().find(|r| r.bench == bench).unwrap();
+            let r = limit_bench(&src, bench, p);
             assert!(
                 r.oracle >= r.gdiff - 0.02,
                 "{bench}: oracle {} vs gdiff {}",
@@ -766,8 +620,8 @@ mod tests {
 
     #[test]
     fn prefetching_helps_memory_bound_benchmarks() {
-        let rows = prefetch(RunParams::tiny());
-        let mcf = rows.iter().find(|r| r.bench == Benchmark::Mcf).unwrap();
+        let p = RunParams::tiny();
+        let mcf = prefetch_bench(&SyntheticSource::new(p.seed), Benchmark::Mcf, p);
         assert!(
             mcf.base_miss_rate > 0.2,
             "mcf misses a lot: {}",

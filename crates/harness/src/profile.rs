@@ -119,12 +119,7 @@ pub struct Fig1 {
     pub gdiff_accuracy: f64,
 }
 
-/// Regenerates Figure 1 from the parser model.
-pub fn fig1(params: RunParams) -> Fig1 {
-    fig1_on(&SyntheticSource::new(params.seed), params)
-}
-
-/// [`fig1`] against an explicit instruction origin.
+/// Regenerates Figure 1 from the parser model's stream in `source`.
 pub fn fig1_on(source: &dyn TraceSource, params: RunParams) -> Fig1 {
     let _span = obs::span::span("profile.run");
     // The reload of the parser model's first correlation kernel.
@@ -194,21 +189,8 @@ pub struct Fig8Row {
     pub gdiff_q32: f64,
 }
 
-/// Regenerates Figure 8: profile accuracy of the local predictors and
-/// gDiff over all value-producing instructions.
-pub fn fig8(params: RunParams) -> Vec<Fig8Row> {
-    fig8_on(&SyntheticSource::new(params.seed), params)
-}
-
-/// [`fig8`] against an explicit instruction origin.
-pub fn fig8_on(source: &dyn TraceSource, params: RunParams) -> Vec<Fig8Row> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|bench| fig8_bench(source, bench, params))
-        .collect()
-}
-
-/// One benchmark's Figure 8 row — the independently schedulable cell.
+/// One benchmark's row of Figure 8: profile accuracy of the local
+/// predictors and gDiff over all value-producing instructions.
 pub fn fig8_bench(source: &dyn TraceSource, bench: Benchmark, params: RunParams) -> Fig8Row {
     let stride = run_profile_on(
         source,
@@ -282,31 +264,11 @@ pub fn fig9_sizes() -> Vec<Option<usize>> {
     ]
 }
 
-/// Regenerates Figure 9: the aliasing effect of bounding the gDiff table.
-pub fn fig9(params: RunParams) -> Vec<Fig9Row> {
-    fig9_on(&SyntheticSource::new(params.seed), params)
-}
-
-/// [`fig9`] against an explicit instruction origin.
-pub fn fig9_on(source: &dyn TraceSource, params: RunParams) -> Vec<Fig9Row> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|bench| fig9_bench(source, bench, params))
-        .collect()
-}
-
-/// One benchmark's Figure 9 row — the independently schedulable cell.
-///
-/// Convenience wrapper over [`fig9_bench_obs`] that discards the gauge
-/// output.
-pub fn fig9_bench(source: &dyn TraceSource, bench: Benchmark, params: RunParams) -> Fig9Row {
-    fig9_bench_obs(source, bench, params, &mut Registry::new())
-}
-
-/// [`fig9_bench`] with observability: publishes the 8K table's shape as
+/// One benchmark's row of Figure 9: the aliasing effect of bounding the
+/// gDiff table. Publishes the 8K table's shape as
 /// `gdiff.table.{probe_len,occupancy,bytes}` gauges on `reg` and records
 /// the same geometry in the returned row.
-pub fn fig9_bench_obs(
+pub fn fig9_bench(
     source: &dyn TraceSource,
     bench: Benchmark,
     params: RunParams,
@@ -367,20 +329,8 @@ pub fn fig10_delays() -> Vec<usize> {
     vec![0, 2, 4, 8, 16]
 }
 
-/// Regenerates Figure 10: gDiff (q=8) accuracy under value delay T.
-pub fn fig10(params: RunParams) -> Vec<Fig10Row> {
-    fig10_on(&SyntheticSource::new(params.seed), params)
-}
-
-/// [`fig10`] against an explicit instruction origin.
-pub fn fig10_on(source: &dyn TraceSource, params: RunParams) -> Vec<Fig10Row> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|bench| fig10_bench(source, bench, params))
-        .collect()
-}
-
-/// One benchmark's Figure 10 row — the independently schedulable cell.
+/// One benchmark's row of Figure 10: gDiff (q=8) accuracy under value
+/// delay T.
 pub fn fig10_bench(source: &dyn TraceSource, bench: Benchmark, params: RunParams) -> Fig10Row {
     let accuracy = fig10_delays()
         .into_iter()
@@ -405,27 +355,13 @@ pub struct QueueRow {
     pub accuracy: Vec<f64>,
 }
 
-/// The queue orders swept by [`ablate_queue`].
+/// The queue orders swept by [`ablate_queue_bench`].
 pub fn ablate_queue_orders() -> Vec<usize> {
     vec![4, 8, 16, 32, 64]
 }
 
-/// Queue-order ablation: how far correlations reach per benchmark (§3's
-/// gap discussion generalized).
-pub fn ablate_queue(params: RunParams) -> Vec<QueueRow> {
-    ablate_queue_on(&SyntheticSource::new(params.seed), params)
-}
-
-/// [`ablate_queue`] against an explicit instruction origin.
-pub fn ablate_queue_on(source: &dyn TraceSource, params: RunParams) -> Vec<QueueRow> {
-    Benchmark::ALL
-        .into_iter()
-        .map(|bench| ablate_queue_bench(source, bench, params))
-        .collect()
-}
-
-/// One benchmark's queue-order ablation row — the independently
-/// schedulable cell.
+/// One benchmark's row of the queue-order ablation: how far correlations
+/// reach (§3's gap discussion generalized).
 pub fn ablate_queue_bench(
     source: &dyn TraceSource,
     bench: Benchmark,
@@ -444,6 +380,7 @@ pub fn ablate_queue_bench(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bench_rows;
 
     fn avg(xs: impl IntoIterator<Item = f64>) -> f64 {
         let v: Vec<f64> = xs.into_iter().collect();
@@ -452,7 +389,7 @@ mod tests {
 
     #[test]
     fn fig8_preserves_paper_ordering() {
-        let rows = fig8(RunParams::tiny());
+        let rows = bench_rows(RunParams::tiny(), fig8_bench);
         let stride = avg(rows.iter().map(|r| r.stride));
         let dfcm = avg(rows.iter().map(|r| r.dfcm));
         let gdiff = avg(rows.iter().map(|r| r.gdiff_q8));
@@ -473,7 +410,7 @@ mod tests {
 
     #[test]
     fn fig8_gap_recovers_with_q32() {
-        let rows = fig8(RunParams::tiny());
+        let rows = bench_rows(RunParams::tiny(), fig8_bench);
         let gap = rows.iter().find(|r| r.bench == Benchmark::Gap).unwrap();
         assert!(
             gap.gdiff_q32 > gap.gdiff_q8 + 0.10,
@@ -492,8 +429,9 @@ mod tests {
 
     #[test]
     fn fig9_conflicts_shrink_with_table_size() {
-        let params = RunParams::tiny();
-        let rows = fig9(params);
+        let rows = bench_rows(RunParams::tiny(), |s, b, p| {
+            fig9_bench(s, b, p, &mut Registry::new())
+        });
         for r in &rows {
             assert_eq!(r.conflict_rates[0], 0.0, "unlimited never conflicts");
             // 64K vs 2K: monotone within noise.
@@ -513,7 +451,7 @@ mod tests {
 
     #[test]
     fn fig10_accuracy_degrades_with_delay() {
-        let rows = fig10(RunParams::tiny());
+        let rows = bench_rows(RunParams::tiny(), fig10_bench);
         let t0 = avg(rows.iter().map(|r| r.accuracy[0]));
         let t16 = avg(rows.iter().map(|r| r.accuracy[4]));
         assert!(t0 > t16 + 0.1, "delay must hurt: T0 {t0} vs T16 {t16}");
@@ -521,7 +459,8 @@ mod tests {
 
     #[test]
     fn fig1_sequence_is_noisy_and_locally_hard() {
-        let f = fig1(RunParams::tiny());
+        let params = RunParams::tiny();
+        let f = fig1_on(&SyntheticSource::new(params.seed), params);
         assert!(f.sequence.len() > 50);
         assert!(f.stride_accuracy < 0.15, "stride {}", f.stride_accuracy);
         assert!(f.dfcm_accuracy < 0.30, "dfcm {}", f.dfcm_accuracy);

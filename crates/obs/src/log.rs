@@ -903,11 +903,6 @@ pub fn disable() -> u64 {
     s.write_errors
 }
 
-/// Adjusts the minimum kept level while enabled.
-pub fn set_level(level: Level) {
-    MIN_LEVEL.store(level as u8, Ordering::Relaxed);
-}
-
 /// Records one event. `kvs` beyond [`MAX_KVS`] are dropped (the journal
 /// is fixed-shape by design). No-op when the journal is off or the level
 /// is below the configured minimum.

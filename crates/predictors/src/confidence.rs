@@ -179,11 +179,6 @@ impl<P: ValuePredictor> GatedPredictor<P> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped predictor.
-    pub fn inner_mut(&mut self) -> &mut P {
-        &mut self.inner
-    }
-
     /// Read access to the confidence table.
     pub fn confidence(&self) -> &ConfidenceTable {
         &self.confidence

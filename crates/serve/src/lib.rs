@@ -40,10 +40,10 @@
 //!                                               accuracy, coverage}
 //! ```
 //!
-//! Chunk payloads are **verbatim tracefile wire chunks** (the footerless
-//! stream profile of the container format — see `tracefile::stream`),
-//! prefixed with a little-endian `u64` sequence number. The server accepts
-//! only the exact next sequence number, so backpressure refusals
+//! A chunk payload is a little-endian `u64` sequence number followed by
+//! one standalone **tracefile wire chunk** (a container chunk's 16-byte
+//! header plus payload — see `tracefile::encode_wire_chunk`). The server
+//! accepts only the exact next sequence number, so backpressure refusals
 //! (go-back-N) can never reorder or duplicate predictor updates. Both
 //! CRCs are checked exactly, yet the server hashes each received byte
 //! once: the frame CRC as the frame is read, and the wire chunk's payload

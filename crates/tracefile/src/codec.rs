@@ -42,8 +42,8 @@ pub const OP_CLASSES: usize = 7;
 /// byte, three register bytes (dst, src0, src1) and four varints of at
 /// most [`MAX_VARINT_LEN`] bytes each (pc, value, mem_addr, target). A
 /// payload that decodes to `count` records is never longer than
-/// `count × MAX_RECORD_LEN`, so readers can reject a larger declared
-/// length before allocating for it.
+/// `count × MAX_RECORD_LEN`; [`decode_payload`] reads records through a
+/// window of this length.
 pub const MAX_RECORD_LEN: usize = 1 + 3 + 4 * MAX_VARINT_LEN;
 
 const TAG_DST: u8 = 1 << 3;
@@ -542,5 +542,25 @@ mod tests {
             encode_inst(&mut b, &mut sb, inst);
         }
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn max_record_len_bounds_the_worst_record() {
+        // Every optional field present, every varint at its 10-byte
+        // maximum: the encoding is exactly MAX_RECORD_LEN bytes.
+        let far = 1u64 << 63; // a delta of i64::MIN zigzags to u64::MAX
+        let worst = DynInst {
+            pc: far,
+            op: OpClass::Branch,
+            dst: Some(1),
+            srcs: [Some(2), Some(3)],
+            value: far,
+            mem_addr: Some(far),
+            taken: true,
+            target: far,
+        };
+        let mut buf = Vec::new();
+        encode_inst(&mut buf, &mut DeltaState::new(), &worst);
+        assert_eq!(buf.len(), MAX_RECORD_LEN);
     }
 }

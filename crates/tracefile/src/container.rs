@@ -35,16 +35,15 @@
 //! reader can seek straight to any chunk via the footer index and decode
 //! chunks in any order — or in parallel.
 //!
-//! # Footerless stream profile
+//! # Wire chunks
 //!
-//! The footer only exists once a writer finishes, which rules it out for
-//! live pipes and sockets. The [`stream`](crate::stream) module defines a
-//! second profile of this same format for non-seekable streams: the
-//! identical 24-byte header, the identical self-validating chunks, no
-//! footer/trailer, and a mandatory 16-byte end marker (reserved stream id
-//! `0xFFFF_FFFF`, zero count) so truncation is always detectable. A chunk
-//! copied verbatim out of a finished container
-//! ([`TraceReader::read_chunk_raw`]) is a valid stream chunk.
+//! A chunk on its own — 16-byte header plus payload — is also the unit
+//! the serve daemon exchanges: [`encode_wire_chunk`] writes one,
+//! [`decode_wire_chunk`] validates and decodes one, and a chunk copied
+//! verbatim out of a finished container ([`TraceReader::read_chunk_raw`])
+//! is a valid wire chunk. The writer and the wire encoder share one chunk
+//! header encoder, and the container reader and the wire decoder share
+//! one validate-and-decode step, so the two surfaces cannot drift apart.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -170,6 +169,172 @@ impl From<ParseTraceError> for TraceFileError {
     fn from(e: ParseTraceError) -> Self {
         TraceFileError::Text(e)
     }
+}
+
+/// The decoded header of one self-contained wire chunk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WireChunk {
+    /// The stream id the producer stamped (opaque outside a container).
+    pub stream_id: u32,
+    /// Records in the chunk.
+    pub count: u32,
+    /// Compressed payload length in bytes.
+    pub payload_len: u32,
+}
+
+/// Why a standalone wire chunk failed validation or decoding.
+#[derive(Debug)]
+pub enum WireError {
+    /// Fewer bytes than the declared shape requires.
+    Truncated {
+        /// Bytes the chunk needs.
+        need: usize,
+        /// Bytes present.
+        have: usize,
+    },
+    /// The record count is zero or exceeds the chunk capacity.
+    CountOutOfRange {
+        /// The declared count.
+        count: u32,
+        /// The maximum the header allows.
+        cap: u32,
+    },
+    /// The payload CRC does not match.
+    Crc {
+        /// CRC stored in the chunk header.
+        stored: u32,
+        /// CRC computed over the payload.
+        computed: u32,
+    },
+    /// The payload failed to decode cleanly.
+    Payload(String),
+}
+
+impl std::fmt::Display for WireError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WireError::Truncated { need, have } => {
+                write!(f, "truncated chunk: need {need} bytes, have {have}")
+            }
+            WireError::CountOutOfRange { count, cap } => {
+                write!(f, "chunk record count {count} outside 1..={cap}")
+            }
+            WireError::Crc { stored, computed } => write!(
+                f,
+                "payload crc mismatch: stored {stored:#010x}, computed {computed:#010x}"
+            ),
+            WireError::Payload(m) => write!(f, "{m}"),
+        }
+    }
+}
+
+impl std::error::Error for WireError {}
+
+/// The 16-byte chunk header for `payload`: stream id, record count,
+/// payload length and payload CRC, little-endian.
+fn chunk_header(stream_id: u32, count: u32, payload: &[u8]) -> [u8; CHUNK_HEADER_LEN as usize] {
+    let mut hdr = [0u8; CHUNK_HEADER_LEN as usize];
+    hdr[0..4].copy_from_slice(&stream_id.to_le_bytes());
+    hdr[4..8].copy_from_slice(&count.to_le_bytes());
+    hdr[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    hdr[12..16].copy_from_slice(&crc32(payload).to_le_bytes());
+    hdr
+}
+
+/// The header fields of a raw chunk and its stored payload CRC, or `None`
+/// when `bytes` is shorter than a chunk header.
+fn parse_chunk_header(bytes: &[u8]) -> Option<(WireChunk, u32)> {
+    let hdr = bytes.get(..CHUNK_HEADER_LEN as usize)?;
+    let field = |i: usize| u32::from_le_bytes(hdr[i..i + 4].try_into().expect("4 bytes"));
+    let header = WireChunk {
+        stream_id: field(0),
+        count: field(4),
+        payload_len: field(8),
+    };
+    Some((header, field(12)))
+}
+
+/// Encodes `insts` as one self-contained wire chunk (16-byte chunk header
+/// plus delta-compressed payload), starting from a fresh delta state.
+///
+/// # Panics
+///
+/// On an empty `insts` slice: every reader requires a record count of at
+/// least 1.
+pub fn encode_wire_chunk(insts: &[DynInst], stream_id: u32) -> Vec<u8> {
+    assert!(!insts.is_empty(), "a wire chunk must carry records");
+    let mut payload = Vec::new();
+    let mut state = DeltaState::new();
+    for inst in insts {
+        encode_inst(&mut payload, &mut state, inst);
+    }
+    let hdr = chunk_header(stream_id, insts.len() as u32, &payload);
+    let mut out = Vec::with_capacity(hdr.len() + payload.len());
+    out.extend_from_slice(&hdr);
+    out.extend_from_slice(&payload);
+    out
+}
+
+/// Validates and decodes one self-contained wire chunk (header + payload,
+/// as produced by [`encode_wire_chunk`] or copied verbatim out of a
+/// container), appending its records to `out`.
+///
+/// `chunk_cap` bounds the record count (use [`DEFAULT_CHUNK_CAP`] unless
+/// the producer negotiated another). Validation is the container
+/// reader's: count in range, payload length exact, CRC match, decode
+/// consuming exactly the payload and yielding exactly the declared count.
+pub fn decode_wire_chunk(
+    bytes: &[u8],
+    chunk_cap: u32,
+    out: &mut Vec<DynInst>,
+) -> Result<WireChunk, WireError> {
+    let payload = bytes.get(CHUNK_HEADER_LEN as usize..).unwrap_or_default();
+    decode_wire_chunk_with_crc(bytes, crc32(payload), chunk_cap, out)
+}
+
+/// [`decode_wire_chunk`] for a caller that already holds `payload_crc`,
+/// the CRC-32 of `bytes[CHUNK_HEADER_LEN..]` (everything after the chunk
+/// header), so the payload is not hashed again. The serve daemon derives
+/// it from the frame CRC it verified with
+/// [`crc32_combine`](crate::crc32::crc32_combine). The stored CRC must
+/// still equal it exactly: every check is the same as
+/// `decode_wire_chunk`'s.
+///
+/// This is the one validate-and-decode step for raw chunk bytes: the
+/// container reader runs every chunk it reads through it too.
+pub fn decode_wire_chunk_with_crc(
+    bytes: &[u8],
+    payload_crc: u32,
+    chunk_cap: u32,
+    out: &mut Vec<DynInst>,
+) -> Result<WireChunk, WireError> {
+    let hdr_len = CHUNK_HEADER_LEN as usize;
+    let (header, stored) = parse_chunk_header(bytes).ok_or(WireError::Truncated {
+        need: hdr_len,
+        have: bytes.len(),
+    })?;
+    if header.count == 0 || header.count > chunk_cap {
+        return Err(WireError::CountOutOfRange {
+            count: header.count,
+            cap: chunk_cap,
+        });
+    }
+    let need = hdr_len + header.payload_len as usize;
+    if bytes.len() != need {
+        return Err(WireError::Truncated {
+            need,
+            have: bytes.len(),
+        });
+    }
+    if payload_crc != stored {
+        return Err(WireError::Crc {
+            stored,
+            computed: payload_crc,
+        });
+    }
+    decode_payload(&bytes[hdr_len..], header.count, out)
+        .map_err(|e| WireError::Payload(e.to_string()))?;
+    Ok(header)
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -330,17 +495,6 @@ impl<W: Write> TraceWriter<W> {
         self.meta = meta.into();
     }
 
-    /// Bytes committed or buffered so far (file header and pending chunk
-    /// included; the eventual footer and trailer excluded).
-    pub fn bytes_written(&self) -> u64 {
-        let pending = if self.count > 0 {
-            CHUNK_HEADER_LEN + self.buf.len() as u64
-        } else {
-            0
-        };
-        self.pos + pending
-    }
-
     fn flush_chunk(&mut self) -> Result<(), TraceFileError> {
         if self.count == 0 {
             self.buf.clear();
@@ -349,13 +503,8 @@ impl<W: Write> TraceWriter<W> {
         }
         let stream_id = self.cur_stream.expect("records require an active stream");
         let payload_len = self.buf.len() as u32;
-        let crc = crc32(&self.buf);
-        let mut hdr = Vec::with_capacity(CHUNK_HEADER_LEN as usize);
-        put_u32(&mut hdr, stream_id);
-        put_u32(&mut hdr, self.count);
-        put_u32(&mut hdr, payload_len);
-        put_u32(&mut hdr, crc);
-        self.w.write_all(&hdr)?;
+        self.w
+            .write_all(&chunk_header(stream_id, self.count, &self.buf))?;
         self.w.write_all(&self.buf)?;
         self.index.push(ChunkEntry {
             offset: self.pos,
@@ -647,16 +796,15 @@ impl<R: Read + Seek> TraceReader<R> {
             .map(|i| i as u32)
     }
 
-    /// Reads and fully validates chunk `i`, appending its records to `out`.
-    ///
-    /// Validation: the on-disk chunk header must match the footer index
-    /// entry, the payload must match its CRC, and decoding must consume
-    /// exactly the payload and yield exactly the declared record count.
-    pub fn read_chunk_into(
+    /// Reads chunk `i`'s bytes (16-byte chunk header plus payload) in one
+    /// read, checks the header against the footer index entry, and
+    /// validates and decodes the chunk into `out` through the wire
+    /// decoder's checks. Returns the raw bytes.
+    fn read_validated(
         &mut self,
         i: usize,
         out: &mut Vec<DynInst>,
-    ) -> Result<(), TraceFileError> {
+    ) -> Result<Vec<u8>, TraceFileError> {
         let entry = *self.index.get(i).ok_or(TraceFileError::Corrupt {
             chunk: i as u64,
             offset: 0,
@@ -668,12 +816,14 @@ impl<R: Read + Seek> TraceReader<R> {
             reason,
         };
         self.r.seek(SeekFrom::Start(entry.offset))?;
-        let mut hdr = [0u8; CHUNK_HEADER_LEN as usize];
-        self.r.read_exact(&mut hdr)?;
-        let stream_id = u32::from_le_bytes(hdr[0..4].try_into().expect("4 bytes"));
-        let count = u32::from_le_bytes(hdr[4..8].try_into().expect("4 bytes"));
-        let payload_len = u32::from_le_bytes(hdr[8..12].try_into().expect("4 bytes"));
-        let stored_crc = u32::from_le_bytes(hdr[12..16].try_into().expect("4 bytes"));
+        let mut raw = vec![0u8; CHUNK_HEADER_LEN as usize + entry.payload_len as usize];
+        self.r.read_exact(&mut raw)?;
+        let (header, _) = parse_chunk_header(&raw).expect("raw chunks hold a header");
+        let WireChunk {
+            stream_id,
+            count,
+            payload_len,
+        } = header;
         if stream_id != entry.stream_id || count != entry.count || payload_len != entry.payload_len
         {
             return Err(corrupt(format!(
@@ -682,15 +832,23 @@ impl<R: Read + Seek> TraceReader<R> {
                 entry.stream_id, entry.count, entry.payload_len
             )));
         }
-        let mut payload = vec![0u8; payload_len as usize];
-        self.r.read_exact(&mut payload)?;
-        let got = crc32(&payload);
-        if got != stored_crc {
-            return Err(corrupt(format!(
-                "payload crc mismatch: stored {stored_crc:#010x}, computed {got:#010x}"
-            )));
-        }
-        decode_payload(&payload, count, out).map_err(|e| corrupt(e.to_string()))
+        let crc = crc32(&raw[CHUNK_HEADER_LEN as usize..]);
+        decode_wire_chunk_with_crc(&raw, crc, self.chunk_cap, out)
+            .map_err(|e| corrupt(e.to_string()))?;
+        Ok(raw)
+    }
+
+    /// Reads and fully validates chunk `i`, appending its records to `out`.
+    ///
+    /// Validation: the on-disk chunk header must match the footer index
+    /// entry, the payload must match its CRC, and decoding must consume
+    /// exactly the payload and yield exactly the declared record count.
+    pub fn read_chunk_into(
+        &mut self,
+        i: usize,
+        out: &mut Vec<DynInst>,
+    ) -> Result<(), TraceFileError> {
+        self.read_validated(i, out).map(drop)
     }
 
     /// Reads and fully validates chunk `i`.
@@ -701,21 +859,15 @@ impl<R: Read + Seek> TraceReader<R> {
     }
 
     /// Reads chunk `i` verbatim — 16-byte chunk header plus compressed
-    /// payload — after full validation, without decoding it.
+    /// payload — after the same full validation as
+    /// [`read_chunk_into`](Self::read_chunk_into), reading its bytes once.
     ///
     /// Because chunks are self-contained (the delta state resets at every
-    /// chunk boundary), the returned bytes are a valid wire chunk for the
-    /// footerless stream profile: a client can ship them to a serve
+    /// chunk boundary), the returned bytes are a valid standalone wire
+    /// chunk ([`decode_wire_chunk`]): a client can ship them to a serve
     /// session unmodified and the receiver re-validates the embedded CRC.
     pub fn read_chunk_raw(&mut self, i: usize) -> Result<Vec<u8>, TraceFileError> {
-        // Validate first so corruption can't ride along unnoticed.
-        let mut scratch = Vec::new();
-        self.read_chunk_into(i, &mut scratch)?;
-        let entry = self.index[i];
-        self.r.seek(SeekFrom::Start(entry.offset))?;
-        let mut raw = vec![0u8; CHUNK_HEADER_LEN as usize + entry.payload_len as usize];
-        self.r.read_exact(&mut raw)?;
-        Ok(raw)
+        self.read_validated(i, &mut Vec::new())
     }
 
     /// Decodes every chunk, validating the whole file end to end.
@@ -881,6 +1033,23 @@ mod tests {
     }
 
     #[test]
+    fn container_bytes_are_pinned() {
+        // Two streams of several chunks each plus a meta blob: every
+        // writer field (header, chunk headers, payloads, stream table,
+        // index, meta, trailer) lands in the digest. A writer change the
+        // reader shares would still round-trip; it cannot keep these.
+        let gcc: Vec<DynInst> = Benchmark::Gcc.build(11).take(300).collect();
+        let mcf: Vec<DynInst> = Benchmark::Mcf.build(11).take(250).collect();
+        let bytes = write_to_vec(&[("gcc", &gcc), ("mcf", &mcf)], 64, "{\"pin\":1}");
+        let r = TraceReader::new(Cursor::new(bytes.clone())).unwrap();
+        for sid in 0..2 {
+            let n = r.chunks().iter().filter(|c| c.stream_id == sid).count();
+            assert!(n >= 3, "stream {sid} has {n} chunks");
+        }
+        assert_eq!((bytes.len(), crc32(&bytes)), (4_425, 0x9A0C_6860));
+    }
+
+    #[test]
     fn empty_container_round_trips() {
         let bytes = write_to_vec(&[], 64, "");
         let r = TraceReader::new(Cursor::new(bytes)).unwrap();
@@ -970,5 +1139,98 @@ mod tests {
             }
             other => panic!("expected Corrupt, got {other}"),
         }
+    }
+
+    #[test]
+    fn read_chunk_raw_names_a_corrupt_chunk() {
+        let insts = sample_trace(2_000);
+        let bytes = write_to_vec(&[("gcc", &insts)], 256, "");
+        let r = TraceReader::new(Cursor::new(bytes.clone())).unwrap();
+        let entry = r.chunks()[2];
+        let mut bad = bytes;
+        bad[(entry.offset + CHUNK_HEADER_LEN) as usize + 5] ^= 0x04;
+        let mut r = TraceReader::new(Cursor::new(bad)).unwrap();
+        assert!(r.read_chunk_raw(1).is_ok(), "a clean neighbour still reads");
+        match r.read_chunk_raw(2).unwrap_err() {
+            TraceFileError::Corrupt {
+                chunk,
+                offset,
+                reason,
+            } => {
+                assert_eq!((chunk, offset), (2, entry.offset));
+                assert!(reason.contains("crc"), "{reason}");
+            }
+            other => panic!("expected Corrupt, got {other}"),
+        }
+    }
+
+    #[test]
+    fn wire_chunk_round_trips_standalone() {
+        let insts = sample_trace(300);
+        let bytes = encode_wire_chunk(&insts, 7);
+        let mut out = Vec::new();
+        let c = decode_wire_chunk(&bytes, 65_536, &mut out).unwrap();
+        assert_eq!(c.stream_id, 7);
+        assert_eq!(c.count, 300);
+        assert_eq!(out, insts);
+    }
+
+    #[test]
+    fn wire_chunk_rejects_corruption() {
+        let insts = sample_trace(100);
+        let good = encode_wire_chunk(&insts, 0);
+        let mut out = Vec::new();
+
+        // Flipped payload byte: CRC catches it.
+        let mut bad = good.clone();
+        let last = bad.len() - 1;
+        bad[last] ^= 0x10;
+        assert!(matches!(
+            decode_wire_chunk(&bad, 65_536, &mut out).unwrap_err(),
+            WireError::Crc { .. }
+        ));
+
+        // Truncated payload: length check catches it.
+        assert!(matches!(
+            decode_wire_chunk(&good[..good.len() - 3], 65_536, &mut out).unwrap_err(),
+            WireError::Truncated { .. }
+        ));
+
+        // Count above the negotiated capacity.
+        assert!(matches!(
+            decode_wire_chunk(&good, 64, &mut out).unwrap_err(),
+            WireError::CountOutOfRange {
+                count: 100,
+                cap: 64
+            }
+        ));
+    }
+
+    #[test]
+    fn wire_chunk_crc_is_pinned() {
+        // Computed with the bytewise CRC-32 loop the slicing kernel
+        // replaced: chunks, files and frames written before the kernel
+        // changed must keep verifying.
+        let insts: Vec<DynInst> = Benchmark::ALL[0].build(1).take(4096).collect();
+        let chunk = encode_wire_chunk(&insts, 0);
+        assert_eq!(chunk.len(), 36_432);
+        let stored = u32::from_le_bytes(chunk[12..16].try_into().unwrap());
+        assert_eq!(stored, 0x9839_FDF6, "payload crc");
+        assert_eq!(crc32(&chunk), 0x38D7_26A5, "whole-chunk crc");
+    }
+
+    #[test]
+    fn container_chunks_are_valid_wire_chunks() {
+        // A chunk copied verbatim out of a finished container decodes as a
+        // standalone wire chunk — the serve client's pass-through path.
+        let insts = sample_trace(1_000);
+        let bytes = write_to_vec(&[("gcc", &insts)], 256, "");
+        let mut r = TraceReader::new(Cursor::new(bytes)).unwrap();
+        let mut decoded = Vec::new();
+        for i in 0..r.chunks().len() {
+            let raw = r.read_chunk_raw(i).unwrap();
+            decode_wire_chunk(&raw, r.chunk_cap(), &mut decoded).unwrap();
+        }
+        assert_eq!(decoded, insts);
     }
 }

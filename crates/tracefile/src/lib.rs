@@ -10,9 +10,9 @@
 //!
 //! * [`TraceWriter`] / [`TraceReader`] — streaming container I/O,
 //!   constant memory, no mmap; see [`container`] for the byte layout.
-//! * [`StreamWriter`] / [`StreamReader`] — the footerless stream profile
-//!   for non-seekable pipes and sockets (the serve daemon's wire format);
-//!   see [`stream`] for the layout and the end-marker rule.
+//! * [`encode_wire_chunk`] / [`decode_wire_chunk`] — one chunk on its
+//!   own, the unit the serve daemon exchanges; a chunk copied out of a
+//!   container ([`TraceReader::read_chunk_raw`]) is a valid wire chunk.
 //! * [`convert`] — text ⇄ binary conversion.
 //! * [`FileSource`] — a `workloads::TraceSource` backed by a trace file,
 //!   making captured traces interchangeable with the synthetic models.
@@ -53,7 +53,6 @@ pub mod container;
 pub mod convert;
 pub mod crc32;
 mod source;
-pub mod stream;
 pub mod varint;
 
 pub use ckpt::{
@@ -61,12 +60,9 @@ pub use ckpt::{
 };
 
 pub use container::{
-    ChunkEntry, StreamInfo, TraceFileError, TraceReader, TraceWriter, VerifyReport,
+    decode_wire_chunk, decode_wire_chunk_with_crc, encode_wire_chunk, ChunkEntry, StreamInfo,
+    TraceFileError, TraceReader, TraceWriter, VerifyReport, WireChunk, WireError,
     DEFAULT_CHUNK_CAP,
 };
 pub use convert::{binary_to_text, text_to_binary, ConvertStats};
 pub use source::FileSource;
-pub use stream::{
-    decode_wire_chunk, decode_wire_chunk_with_crc, encode_wire_chunk, StreamReader, StreamWriter,
-    WireChunk, WireError, END_MARKER, END_STREAM_ID,
-};

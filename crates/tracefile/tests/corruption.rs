@@ -1,11 +1,13 @@
 //! Exhaustive corruption testing: every single-byte flip anywhere in a
 //! trace file must surface as an `Err` — never a panic, never silently
-//! misdecoded records.
+//! misdecoded records — and no flip or cut of a standalone wire chunk may
+//! alter the records it decodes to.
 
 use std::io::Cursor;
 use tracefile::{
     container::{CHUNK_HEADER_LEN, HEADER_LEN},
-    TraceFileError, TraceReader, TraceWriter,
+    decode_wire_chunk, encode_wire_chunk, TraceFileError, TraceReader, TraceWriter,
+    DEFAULT_CHUNK_CAP,
 };
 use workloads::{Benchmark, DynInst};
 
@@ -114,35 +116,26 @@ fn corruption_reports_are_printable_and_typed() {
     assert!(msg.contains("offset 24"), "message was: {msg}");
 }
 
-/// Footerless stream profile: the stream id and the reserved header field
-/// are opaque (nothing cross-checks them without a footer), so the
-/// guarantee is record integrity, not every-flip detection — any
-/// single-byte flip either surfaces as an `Err` or decodes records
-/// identical to the clean stream. No flip may silently alter data.
+/// A standalone wire chunk (what the serve daemon receives) carries no
+/// footer to cross-check its stream id against, so that field is opaque:
+/// the guarantee is record integrity, not every-flip detection. Any
+/// single-bit flip either fails to decode or decodes records identical to
+/// the clean chunk's. No flip may silently alter data.
 #[test]
-fn stream_profile_flips_never_silently_alter_records() {
-    use tracefile::StreamReader;
-
+fn wire_chunk_flips_never_silently_alter_records() {
     let insts: Vec<DynInst> = Benchmark::Gcc.build(5).take(120).collect();
-    let mut w = tracefile::StreamWriter::new(Vec::new(), 32, 0).unwrap();
-    for inst in &insts {
-        w.push(inst).unwrap();
-    }
-    let clean = w.finish().unwrap();
-
-    let decode_all = |bytes: &[u8]| -> Result<Vec<DynInst>, TraceFileError> {
-        let mut r = StreamReader::new(bytes)?;
+    let clean = encode_wire_chunk(&insts, 0);
+    let decode = |bytes: &[u8]| {
         let mut out = Vec::new();
-        while r.next_chunk_into(&mut out)?.is_some() {}
-        Ok(out)
+        decode_wire_chunk(bytes, DEFAULT_CHUNK_CAP, &mut out).map(|_| out)
     };
-    assert_eq!(decode_all(&clean).expect("clean stream decodes"), insts);
+    assert_eq!(decode(&clean).expect("clean chunk decodes"), insts);
 
     for pos in 0..clean.len() {
         for bit in 0..8 {
             let mut bad = clean.clone();
             bad[pos] ^= 1 << bit;
-            if let Ok(decoded) = decode_all(&bad) {
+            if let Ok(decoded) = decode(&bad) {
                 assert_eq!(
                     decoded, insts,
                     "flip at byte {pos} bit {bit} silently altered records"
@@ -152,34 +145,15 @@ fn stream_profile_flips_never_silently_alter_records() {
     }
 }
 
-/// Streams cut short anywhere — even exactly at a chunk boundary where
-/// the end marker should have followed — are corrupt, never silent.
+/// A wire chunk cut short anywhere — inside its header or its payload —
+/// is refused, never decoded as a shorter chunk.
 #[test]
-fn stream_profile_truncations_are_detected() {
-    let insts: Vec<DynInst> = Benchmark::Gcc.build(9).take(200).collect();
-    let mut w = tracefile::StreamWriter::new(Vec::new(), 64, 0).unwrap();
-    for inst in &insts {
-        w.push(inst).unwrap();
-    }
-    let clean = w.finish().unwrap();
-
+fn wire_chunk_truncations_are_detected() {
+    let insts: Vec<DynInst> = Benchmark::Gcc.build(9).take(120).collect();
+    let clean = encode_wire_chunk(&insts, 0);
     for keep in 0..clean.len() {
-        let cut = &clean[..keep];
-        let failed = match tracefile::StreamReader::new(cut) {
-            Err(_) => true,
-            Ok(mut r) => {
-                let mut out = Vec::new();
-                loop {
-                    match r.next_chunk_into(&mut out) {
-                        Ok(Some(_)) => {}
-                        Ok(None) => break false,
-                        Err(_) => break true,
-                    }
-                }
-            }
-        };
         assert!(
-            failed,
+            decode_wire_chunk(&clean[..keep], DEFAULT_CHUNK_CAP, &mut Vec::new()).is_err(),
             "truncation to {keep} of {} bytes went undetected",
             clean.len()
         );

@@ -114,11 +114,6 @@ impl CorrelationKernel {
         self.slot.pc(3 + self.gap as u64)
     }
 
-    /// PCs of the two defining instructions.
-    pub fn def_pcs(&self) -> [u64; 2] {
-        [self.slot.pc(0), self.slot.pc(1)]
-    }
-
     fn next_hard(&mut self, path: usize, rng: &mut SmallRng) -> u64 {
         self.values[path] = match self.hard {
             HardKind::Generational => mix64(self.values[path]),
@@ -272,11 +267,6 @@ impl SaveRestoreKernel {
             depth: 6,
             dir: 1,
         }
-    }
-
-    /// The chain length `k` (= the correlation distance of every restore).
-    pub fn chain_len(&self) -> usize {
-        self.k
     }
 
     /// PC of restore number `i`.

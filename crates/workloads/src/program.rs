@@ -78,11 +78,6 @@ impl Program {
         }
     }
 
-    /// Number of kernel sites.
-    pub fn site_count(&self) -> usize {
-        self.sites.len()
-    }
-
     fn refill(&mut self) {
         let mut staging = Vec::new();
         // Emit sites until something lands in the buffer (skips can leave

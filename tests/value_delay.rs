@@ -3,10 +3,10 @@
 //! SGVQ → HGVQ progression.
 
 use gdiff::GDiffPredictor;
-use harness::{fig12, pipe::run_pipeline, profile::run_profile, RunParams};
+use harness::{fig12_on, pipe::run_pipeline, profile::run_profile, RunParams};
 use pipeline::{HgvqEngine, SgvqEngine};
 use predictors::Capacity;
-use workloads::Benchmark;
+use workloads::{Benchmark, SyntheticSource};
 
 #[test]
 fn profile_accuracy_is_monotone_in_delay() {
@@ -47,7 +47,8 @@ fn profile_accuracy_is_monotone_in_delay() {
 fn pipeline_value_delays_are_plausible() {
     // Figure 12: delays concentrate in the single digits to low tens;
     // the mean is far below the reorder-buffer size.
-    let d = fig12(RunParams::tiny());
+    let params = RunParams::tiny();
+    let d = fig12_on(&SyntheticSource::new(params.seed), params);
     assert!(d.mean > 2.0, "some delay must exist: {}", d.mean);
     assert!(d.mean < 40.0, "delay bounded by the window: {}", d.mean);
     let within: f64 = d.fractions.iter().sum();
