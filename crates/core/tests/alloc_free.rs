@@ -110,12 +110,7 @@ fn gdiff_q8_steps_do_not_allocate_with_telemetry_armed() {
     // The sampler's hour-long interval keeps its ticks out of the window;
     // its thread's allocations are not counted here in any case.
     obs::timeline::enable(1024);
-    let sampler = obs::Sampler::start(
-        obs::SharedRegistry::new(),
-        Duration::from_secs(3600),
-        16,
-        None,
-    );
+    let sampler = obs::Sampler::start(obs::SharedRegistry::new(), Duration::from_secs(3600), None);
     let mut p = GDiffPredictor::new(Capacity::Unbounded, 8);
     let allocs = measured_allocations(&mut p);
     sampler.stop();

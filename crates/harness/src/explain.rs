@@ -12,7 +12,7 @@
 //!   matrices (the paper's §3/§4 drill-downs);
 //! - per-benchmark flight-recorder summaries (mispredict-rate spikes).
 //!
-//! Cells fan out through [`run_plans`](crate::sched::run_plans) like any
+//! Cells fan out through [`run_plans_live`](crate::sched::run_plans_live) like any
 //! other experiment, and every emitted byte is derived from provenance
 //! aggregates merged in cell order, so stdout and the
 //! [`SCHEMA`] JSON are byte-identical for every `--jobs` value.
@@ -414,7 +414,7 @@ mod tests {
         let mut master = Registry::new();
         let mut text = String::new();
         let mut json = String::new();
-        crate::sched::run_plans(vec![plan], jobs, &mut master, |out| {
+        crate::sched::run_plans_live(vec![plan], jobs, &mut master, None, |out| {
             text = out.text;
             json = out.json.to_json_pretty();
         });

@@ -63,8 +63,7 @@ pub use profile::{
 };
 pub use record::{open_replay, record, RecordReport, ReplayError, ReplayPlan};
 pub use sched::{
-    default_jobs, run_dynamic, run_plans, run_plans_live, Cell, DynDone, ExperimentOutput,
-    ExperimentPlan,
+    default_jobs, run_dynamic, run_plans_live, Cell, DynDone, ExperimentOutput, ExperimentPlan,
 };
 pub use sweep::{
     load_completed, pareto_frontier, prepare_dir, render_dry_run, render_sweep, run_sweep_worker,

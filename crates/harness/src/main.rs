@@ -37,7 +37,7 @@ use harness::cells::{plan_for, ALL_EXPERIMENTS};
 use harness::cli::{self, at_least_1, number, Command, Flag, Positionals, Usage};
 use harness::record::{open_replay, record};
 use harness::report::{RunReport, Table};
-use harness::sched::{default_jobs, run_plans, run_plans_live, ExperimentOutput};
+use harness::sched::{default_jobs, run_plans_live, ExperimentOutput};
 use harness::serve_cli;
 use harness::taps::{TapOpts, Taps};
 use harness::RunParams;
@@ -586,10 +586,11 @@ fn main_explain(args: Vec<String>) -> Result<(), Usage> {
 
     let mut master = Registry::new();
     let mut section: Option<JsonValue> = None;
-    run_plans(
+    run_plans_live(
         vec![plan],
         o.jobs.unwrap_or_else(default_jobs),
         &mut master,
+        None,
         |res| {
             show(&res);
             section = Some(res.json);
@@ -640,10 +641,11 @@ fn main_export_metrics(args: Vec<String>) -> Result<(), Usage> {
         .map(|exp| plan_for(exp, &source, profile, pipelinep))
         .collect();
     let mut master = Registry::new();
-    run_plans(
+    run_plans_live(
         plans,
         o.jobs.unwrap_or_else(default_jobs),
         &mut master,
+        None,
         |res| show(&res),
     );
     let text = obs::expose::prometheus(&master, &obs::span::snapshot());

@@ -121,25 +121,12 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// A completed cell waiting for its experiment to assemble.
-struct DoneCell {
-    label: String,
-    out: CellOutput,
-    registry: Registry,
-    busy: Duration,
-    /// Index of the worker thread that *executed* the cell. Under work
-    /// stealing the executor is not the planned owner; wall-time
-    /// attribution (`sched.worker.<w>.cell_ms`, timeline tracks) must
-    /// follow the executor or per-worker load views lie.
-    worker: usize,
-}
-
 /// In-order completion tracker: buffers per-cell results and releases
 /// experiments strictly in plan order.
 struct Collector<'a> {
     names: Vec<String>,
     assemble: Vec<Option<AssembleFn<'a>>>,
-    done: Vec<Vec<Option<DoneCell>>>,
+    done: Vec<Vec<Option<DynDone>>>,
     next_emit: usize,
 }
 
@@ -151,7 +138,7 @@ impl<'a> Collector<'a> {
         &mut self,
         exp: usize,
         cell: usize,
-        done: DoneCell,
+        done: DynDone,
         master: &mut Registry,
         emit: &mut dyn FnMut(ExperimentOutput),
     ) {
@@ -160,7 +147,7 @@ impl<'a> Collector<'a> {
             && self.done[self.next_emit].iter().all(Option::is_some)
         {
             let e = self.next_emit;
-            let cells: Vec<DoneCell> = std::mem::take(&mut self.done[e])
+            let cells: Vec<DynDone> = std::mem::take(&mut self.done[e])
                 .into_iter()
                 .map(|c| c.expect("all cells done"))
                 .collect();
@@ -194,21 +181,11 @@ impl<'a> Collector<'a> {
 /// Runs every plan's cells on up to `jobs` workers and calls `emit` once
 /// per experiment, in plan order, with output identical to `jobs == 1`.
 ///
-/// Worker-private registries merge into `master` in cell order. With
-/// `jobs <= 1` no thread is spawned and cells run inline in order — the
-/// exact pre-scheduler execution shape (`replay` forces this path).
-///
-/// Returns the total number of cells executed.
-pub fn run_plans<'a>(
-    plans: Vec<ExperimentPlan<'a>>,
-    jobs: usize,
-    master: &mut Registry,
-    emit: impl FnMut(ExperimentOutput),
-) -> usize {
-    run_plans_live(plans, jobs, master, None, emit)
-}
-
-/// [`run_plans`] with an optional live-telemetry sink.
+/// Cells run through [`run_dynamic`], claimed in plan order, on at most
+/// one worker per cell. Worker-private registries merge into `master` in
+/// cell order. With `jobs <= 1` no thread is spawned and cells run inline
+/// in order — the exact pre-scheduler execution shape (`replay` forces
+/// this path).
 ///
 /// When `live` is given, each completed cell's private registry also
 /// merges into the shared registry — *in completion order*, the moment the
@@ -218,6 +195,8 @@ pub fn run_plans<'a>(
 /// The live view is a wall-clock artifact like the `timings` section; the
 /// deterministic outputs (`emit` order, `master` contents, tables, the
 /// `experiments` report section) are byte-identical with or without it.
+///
+/// Returns the total number of cells executed.
 pub fn run_plans_live<'a>(
     plans: Vec<ExperimentPlan<'a>>,
     jobs: usize,
@@ -231,7 +210,9 @@ pub fn run_plans_live<'a>(
         done: Vec::with_capacity(plans.len()),
         next_emit: 0,
     };
-    let mut queue: VecDeque<(usize, usize, String, CellFn<'a>)> = VecDeque::new();
+    // A cell's claim id indexes `slots`, its (experiment, cell) position.
+    let mut slots = Vec::new();
+    let mut queue = VecDeque::new();
     for (ei, plan) in plans.into_iter().enumerate() {
         collector.names.push(plan.name);
         collector.assemble.push(Some(plan.assemble));
@@ -239,10 +220,11 @@ pub fn run_plans_live<'a>(
             .done
             .push(plan.cells.iter().map(|_| None).collect());
         for (ci, cell) in plan.cells.into_iter().enumerate() {
-            queue.push_back((ei, ci, cell.label, cell.run));
+            queue.push_back((slots.len() as u64, cell));
+            slots.push((ei, ci));
         }
     }
-    let total_cells = queue.len();
+    let total_cells = slots.len();
     let workers = jobs.max(1).min(total_cells.max(1));
     if let Some(live) = live {
         live.with(|r| {
@@ -252,49 +234,15 @@ pub fn run_plans_live<'a>(
             r.set_gauge(g, workers as f64);
         });
     }
-
-    if workers <= 1 {
-        while let Some((ei, ci, label, run)) = queue.pop_front() {
-            let done = run_cell(0, label, run);
-            if let Some(live) = live {
-                publish_live(live, &done);
-            }
+    run_dynamic(
+        |_| queue.pop_front(),
+        workers,
+        live,
+        |done: DynDone| {
+            let (ei, ci) = slots[done.id as usize];
             collector.complete(ei, ci, done, master, &mut emit);
-        }
-        return total_cells;
-    }
-
-    let queue = Mutex::new(queue);
-    let (tx, rx) = mpsc::channel::<(usize, usize, DoneCell)>();
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let queue = &queue;
-            s.spawn(move || {
-                obs::timeline::set_thread_name(&format!("worker-{w}"));
-                loop {
-                    let job = queue.lock().unwrap().pop_front();
-                    let Some((ei, ci, label, run)) = job else {
-                        break;
-                    };
-                    let done = run_cell(w, label, run);
-                    if let Some(live) = live {
-                        publish_live(live, &done);
-                    }
-                    if tx.send((ei, ci, done)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        // The main thread buffers results and emits in plan order while
-        // workers keep draining the queue.
-        for (ei, ci, done) in rx {
-            collector.complete(ei, ci, done, master, &mut emit);
-        }
-    });
-    total_cells
+        },
+    )
 }
 
 /// One finished dynamically-claimed cell, handed back in completion order.
@@ -326,7 +274,7 @@ impl std::fmt::Debug for DynDone {
 /// Runs dynamically-claimed cells on up to `jobs` threads until the claim
 /// source is exhausted.
 ///
-/// Unlike [`run_plans`], the work list is not known up front: each idle
+/// Unlike [`run_plans_live`], the work list is not known up front: each idle
 /// thread calls `next(thread_index)` — under a lock, so claim sources may
 /// touch shared state freely — and executes whatever cell comes back.
 /// This is the in-process half of the sweep engine's work-stealing: the
@@ -352,17 +300,13 @@ pub fn run_dynamic<'a>(
         loop {
             let job = (next.lock().unwrap())(0);
             let Some((id, cell)) = job else { break };
-            let done = run_cell(0, cell.label, cell.run);
-            if let Some(live) = live {
-                publish_live(live, &done);
-            }
-            on_done(to_dyn(id, done));
+            on_done(run_cell(id, 0, cell, live));
             count += 1;
         }
         return count;
     }
 
-    let (tx, rx) = mpsc::channel::<(u64, DoneCell)>();
+    let (tx, rx) = mpsc::channel::<DynDone>();
     let mut count = 0;
     std::thread::scope(|s| {
         for w in 0..threads {
@@ -373,34 +317,20 @@ pub fn run_dynamic<'a>(
                 loop {
                     let job = (next.lock().unwrap())(w);
                     let Some((id, cell)) = job else { break };
-                    let done = run_cell(w, cell.label, cell.run);
-                    if let Some(live) = live {
-                        publish_live(live, &done);
-                    }
-                    if tx.send((id, done)).is_err() {
+                    if tx.send(run_cell(id, w, cell, live)).is_err() {
                         break;
                     }
                 }
             });
         }
         drop(tx);
-        for (id, done) in rx {
-            on_done(to_dyn(id, done));
+        // The calling thread hands results on while workers keep claiming.
+        for done in rx {
+            on_done(done);
             count += 1;
         }
     });
     count
-}
-
-fn to_dyn(id: u64, done: DoneCell) -> DynDone {
-    DynDone {
-        id,
-        label: done.label,
-        out: done.out,
-        registry: done.registry,
-        busy: done.busy,
-        worker: done.worker,
-    }
 }
 
 /// Bucket count of the live `sched.cell_ms` wall-time histogram.
@@ -409,7 +339,7 @@ const CELL_MS_BUCKETS: usize = 512;
 /// Feeds one finished cell into the live-telemetry registry. Wall time is
 /// attributed to the *executing* worker (`sched.worker.<w>.cell_ms`) —
 /// for a stolen cell that is the stealer, never the planned owner.
-fn publish_live(live: &SharedRegistry, done: &DoneCell) {
+fn publish_live(live: &SharedRegistry, done: &DynDone) {
     live.merge(&done.registry);
     let ms = done.busy.as_millis() as u64;
     let worker = done.worker;
@@ -427,7 +357,10 @@ fn publish_live(live: &SharedRegistry, done: &DoneCell) {
     });
 }
 
-fn run_cell(worker: usize, label: String, run: CellFn<'_>) -> DoneCell {
+/// Runs one claimed cell on worker `worker` against a fresh private
+/// registry, and feeds the result to `live` when given.
+fn run_cell(id: u64, worker: usize, cell: Cell<'_>, live: Option<&SharedRegistry>) -> DynDone {
+    let Cell { label, run } = cell;
     let mut registry = Registry::new();
     let cells = registry.counter("sched.cells");
     registry.inc(cells);
@@ -435,20 +368,27 @@ fn run_cell(worker: usize, label: String, run: CellFn<'_>) -> DoneCell {
     registry.inc(per_cell);
     // The timeline span opens on the executing thread, so the Chrome
     // trace track is the executor's even when the cell was stolen.
-    let _tl = if obs::timeline::enabled() {
+    let tl = if obs::timeline::enabled() {
         Some(obs::timeline::start(&format!("cell.{label}"), "cell"))
     } else {
         None
     };
     let t0 = Instant::now();
     let out = run(&mut registry);
-    DoneCell {
+    let busy = t0.elapsed();
+    drop(tl);
+    let done = DynDone {
+        id,
         label,
         out,
         registry,
-        busy: t0.elapsed(),
+        busy,
         worker,
+    };
+    if let Some(live) = live {
+        publish_live(live, &done);
     }
+    done
 }
 
 #[cfg(test)]
@@ -493,7 +433,7 @@ mod tests {
         let mut master = Registry::new();
         let mut names = Vec::new();
         let mut text = String::new();
-        let cells = run_plans(plans, jobs, &mut master, |out| {
+        let cells = run_plans_live(plans, jobs, &mut master, None, |out| {
             names.push(out.name);
             text.push_str(&out.text);
         });

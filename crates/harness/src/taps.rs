@@ -17,10 +17,6 @@ use obs::{Sampler, SharedRegistry};
 /// bounding a runaway run to ~10 MB of JSON.
 const TIMELINE_CAPACITY: usize = 64 * 1024;
 
-/// Snapshot ring size for `--live-metrics` (the stream itself is
-/// unbounded; the ring only backs the end-of-run summary counts).
-const LIVE_RING_CAP: usize = 1024;
-
 /// Which taps to switch on.
 #[derive(Debug, Clone)]
 pub struct TapOpts {
@@ -89,7 +85,7 @@ impl Taps {
                 };
                 let registry = SharedRegistry::new();
                 let period = Duration::from_millis(opts.live_interval_ms);
-                let sampler = Sampler::start(registry.clone(), period, LIVE_RING_CAP, Some(writer));
+                let sampler = Sampler::start(registry.clone(), period, Some(writer));
                 Some((registry, sampler))
             }
         };
@@ -140,10 +136,7 @@ impl Taps {
             if !log.stream_ok {
                 eprintln!("warning: live-metrics stream write failed");
             }
-            eprintln!(
-                "live-metrics: {} snapshots ({} beyond the ring)",
-                log.taken, log.dropped
-            );
+            eprintln!("live-metrics: {} snapshots", log.taken);
         }
         if let Some(path) = self.journal {
             let records = obs::log::recorded();

@@ -51,9 +51,7 @@ pub use health::{HealthConfig, HealthEvent, HealthMonitor, HealthState};
 pub use json::JsonValue;
 pub use log::{Level, LogConfig};
 pub use metrics::{CounterId, GaugeId, Histogram, HistogramId, Meter, Registry};
-pub use provenance::{
-    FlightRecorder, NullSink, PredictionMade, PredictionResolved, Provenance, ProvenanceSink,
-};
+pub use provenance::{FlightRecorder, PredictionMade, PredictionResolved, Provenance};
 pub use sample::{Sampler, SharedRegistry};
 pub use span::{span, SpanGuard, SpanStats};
 pub use trace::{tracer, TraceEvent, TraceKind, Tracer};

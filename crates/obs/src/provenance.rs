@@ -3,8 +3,8 @@
 //!
 //! The simulator's aggregate `vp.*` counters say *that* accuracy moved;
 //! this module answers *why*. Prediction sites emit a
-//! [`PredictionMade`]/[`PredictionResolved`] pair into a
-//! [`ProvenanceSink`], and the [`Provenance`] aggregator folds them
+//! [`PredictionMade`]/[`PredictionResolved`] pair into
+//! [`Provenance::record`], and the aggregator folds them
 //! online — no unbounded event storage on the hot path — into:
 //!
 //! - per-PC accuracy/coverage cells (the paper's per-static-load view,
@@ -66,33 +66,6 @@ pub struct PredictionResolved {
     /// Whether an HGVQ slot pre-filled by the local-stride filler backed
     /// this prediction (and was patched at writeback, §5).
     pub patched_by_hgvq: bool,
-}
-
-/// Where prediction sites deliver event pairs.
-///
-/// The default `run` path uses [`NullSink`]; emitting sites guard on
-/// [`enabled`](ProvenanceSink::enabled) so a disabled sink costs one
-/// branch and no event construction.
-pub trait ProvenanceSink {
-    /// Whether events should be constructed and delivered at all.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Folds one made/resolved pair into the sink.
-    fn record(&mut self, made: &PredictionMade, resolved: &PredictionResolved);
-}
-
-/// The zero-cost disabled sink.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl ProvenanceSink for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _made: &PredictionMade, _resolved: &PredictionResolved) {}
 }
 
 /// Per-PC accuracy/coverage cell.
@@ -358,7 +331,7 @@ fn event_json(made: &PredictionMade, resolved: &PredictionResolved) -> JsonValue
     o
 }
 
-/// Online provenance aggregator — the enabled [`ProvenanceSink`].
+/// Online provenance aggregator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Provenance {
     order: usize,
@@ -561,10 +534,9 @@ impl Provenance {
         }
         self.json_impl(true).with("flight_recorder", recorder)
     }
-}
 
-impl ProvenanceSink for Provenance {
-    fn record(&mut self, made: &PredictionMade, resolved: &PredictionResolved) {
+    /// Folds one made/resolved pair into the aggregate.
+    pub fn record(&mut self, made: &PredictionMade, resolved: &PredictionResolved) {
         self.per_pc.entry(made.pc).or_default().fold(made, resolved);
 
         let idx = made
@@ -717,12 +689,6 @@ mod tests {
         let dump = &p.recorder().dumps()[0];
         assert!(!dump.events.is_empty());
         assert!(dump.events.len() <= Provenance::DEFAULT_RING);
-    }
-
-    #[test]
-    fn null_sink_reports_disabled() {
-        assert!(!NullSink.enabled());
-        assert!(Provenance::new(4, 4).enabled());
     }
 
     #[test]

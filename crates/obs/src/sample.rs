@@ -4,9 +4,9 @@
 //! long-running sweep or serve daemon is still going. This module samples
 //! a [`SharedRegistry`] — a mutex-wrapped [`Registry`] that coarse-grained
 //! producers (the scheduler, at cell completion) merge into — on a
-//! background thread at a fixed interval, keeps a bounded ring of
-//! snapshots, and optionally streams each snapshot as one line of
-//! newline-delimited JSON (schema [`SCHEMA`]).
+//! background thread at a fixed interval and streams each snapshot as one
+//! line of newline-delimited JSON (schema [`SCHEMA`]) to an optional
+//! writer. Nothing is retained in memory: the stream is the record.
 //!
 //! The design keeps observation cost off the measured path:
 //!
@@ -16,9 +16,7 @@
 //!   live view;
 //! * snapshots are *delta-compressed*: each record carries only the
 //!   counters/gauges/histograms that changed since the previous snapshot,
-//!   so a quiet interval costs a few bytes;
-//! * the ring is fixed-size — a runaway run drops the oldest snapshots
-//!   rather than growing without bound.
+//!   so a quiet interval costs a few bytes.
 //!
 //! The sampler always emits one snapshot at start (the baseline) and one
 //! at [`Sampler::stop`], so even a run shorter than the interval produces
@@ -26,7 +24,6 @@
 
 use crate::json::JsonValue;
 use crate::metrics::Registry;
-use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -66,27 +63,11 @@ impl SharedRegistry {
     }
 }
 
-/// One captured snapshot: its sequence number, wall-clock offset, and the
-/// delta-compressed record (already in [`SCHEMA`] shape).
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    /// Snapshot sequence number (0 is the start-of-run baseline).
-    pub seq: u64,
-    /// Milliseconds since the sampler started.
-    pub elapsed_ms: u64,
-    /// The `gdiff-metrics-snapshot/v1` record.
-    pub record: JsonValue,
-}
-
 /// What a finished sampler hands back.
 #[derive(Debug)]
 pub struct SampleLog {
-    /// The retained snapshots, oldest first (bounded by the ring size).
-    pub snapshots: VecDeque<Snapshot>,
-    /// Snapshots taken in total, including ones the ring dropped.
+    /// Snapshots taken in total.
     pub taken: u64,
-    /// Snapshots evicted from the ring.
-    pub dropped: u64,
     /// Whether every stream write succeeded (`true` with no writer).
     pub stream_ok: bool,
 }
@@ -145,7 +126,6 @@ fn make_record(seq: u64, elapsed_ms: u64, body: JsonValue) -> JsonValue {
 struct Worker {
     shared: SharedRegistry,
     interval: Duration,
-    ring_cap: usize,
     writer: Option<Box<dyn Write + Send>>,
     stop: Arc<AtomicBool>,
 }
@@ -191,15 +171,6 @@ impl Worker {
                 log.stream_ok &= w.flush().is_ok();
             }
         }
-        log.snapshots.push_back(Snapshot {
-            seq: log.taken,
-            elapsed_ms: start.elapsed().as_millis() as u64,
-            record,
-        });
-        if log.snapshots.len() > self.ring_cap {
-            log.snapshots.pop_front();
-            log.dropped += 1;
-        }
         log.taken += 1;
         *prev = cur;
     }
@@ -217,28 +188,23 @@ impl Sampler {
     /// Takes a baseline snapshot on the caller's thread — so it precedes
     /// every merge the caller makes after `start` returns — then spawns
     /// the sampling thread: one snapshot every `interval`, and a final one
-    /// at [`stop`](Self::stop). The ring retains the most recent
-    /// `ring_cap` snapshots; `writer`, when given, receives each snapshot
-    /// as one NDJSON line (flushed per line).
+    /// at [`stop`](Self::stop). `writer`, when given, receives each
+    /// snapshot as one NDJSON line (flushed per line).
     pub fn start(
         shared: SharedRegistry,
         interval: Duration,
-        ring_cap: usize,
         writer: Option<Box<dyn Write + Send>>,
     ) -> Sampler {
         let stop = Arc::new(AtomicBool::new(false));
         let mut worker = Worker {
             shared,
             interval: interval.max(Duration::from_millis(1)),
-            ring_cap: ring_cap.max(2),
             writer,
             stop: stop.clone(),
         };
         let start = Instant::now();
         let mut log = SampleLog {
-            snapshots: VecDeque::new(),
             taken: 0,
-            dropped: 0,
             stream_ok: true,
         };
         let mut prev = Registry::new();
@@ -296,25 +262,38 @@ mod tests {
         );
     }
 
+    /// A writer the test can read back after the sampler is gone.
+    #[derive(Clone, Default)]
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for SharedBuf {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(b);
+            Ok(b.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl SharedBuf {
+        /// Every streamed record, parsed.
+        fn records(&self) -> Vec<JsonValue> {
+            let text = String::from_utf8(self.0.lock().unwrap().clone()).unwrap();
+            text.lines()
+                .map(|line| JsonValue::parse(line).expect("each line is standalone JSON"))
+                .collect()
+        }
+    }
+
     #[test]
     fn sampler_emits_baseline_and_final_snapshots() {
         let shared = SharedRegistry::new();
-        let buf = Arc::new(Mutex::new(Vec::<u8>::new()));
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
+        let buf = SharedBuf::default();
         let sampler = Sampler::start(
             shared.clone(),
             Duration::from_secs(3600), // no periodic tick within the test
-            16,
-            Some(Box::new(SharedBuf(buf.clone()))),
+            Some(Box::new(buf.clone())),
         );
         let mut private = Registry::new();
         let c = private.counter("work.done");
@@ -324,29 +303,28 @@ mod tests {
 
         assert_eq!(log.taken, 2, "baseline + final");
         assert!(log.stream_ok);
-        assert_eq!(log.snapshots.len(), 2);
-        let finals = &log.snapshots[1].record;
-        assert_eq!(finals.path("schema").and_then(|v| v.as_str()), Some(SCHEMA));
+        let records = buf.records();
+        assert_eq!(records.len(), 2);
+        for rec in &records {
+            assert_eq!(rec.get("schema").and_then(|v| v.as_str()), Some(SCHEMA));
+        }
         // Dots in metric names: index with get, not path.
-        let counters = finals.get("counters").unwrap();
+        let counters = records[1].get("counters").unwrap();
         assert_eq!(
             counters.get("work.done").and_then(|v| v.as_f64()),
             Some(7.0)
         );
-
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            let rec = JsonValue::parse(line).expect("each line is standalone JSON");
-            assert_eq!(rec.get("schema").and_then(|v| v.as_str()), Some(SCHEMA));
-        }
     }
 
     #[test]
-    fn ring_drops_oldest_when_full() {
+    fn every_tick_is_streamed_in_sequence() {
         let shared = SharedRegistry::new();
-        let sampler = Sampler::start(shared.clone(), Duration::from_millis(5), 4, None);
+        let buf = SharedBuf::default();
+        let sampler = Sampler::start(
+            shared.clone(),
+            Duration::from_millis(5),
+            Some(Box::new(buf.clone())),
+        );
         // Keep mutating so every tick produces a distinct snapshot.
         for i in 0..20 {
             shared.with(|r| {
@@ -357,11 +335,12 @@ mod tests {
         }
         let log = sampler.stop();
         assert!(log.taken >= 4, "took {} snapshots", log.taken);
-        assert!(log.snapshots.len() <= 4);
-        assert_eq!(log.dropped, log.taken - log.snapshots.len() as u64);
-        // Sequence numbers stay contiguous and end at the final snapshot.
-        let seqs: Vec<u64> = log.snapshots.iter().map(|s| s.seq).collect();
-        assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1), "{seqs:?}");
-        assert_eq!(*seqs.last().unwrap(), log.taken - 1);
+        // Sequence numbers are contiguous from the baseline to the final.
+        let seqs: Vec<u64> = buf
+            .records()
+            .iter()
+            .map(|r| r.get("seq").and_then(|v| v.as_f64()).unwrap() as u64)
+            .collect();
+        assert_eq!(seqs, (0..log.taken).collect::<Vec<_>>());
     }
 }

@@ -5,7 +5,7 @@
 //! every event — the property the parallel scheduler's byte-identical
 //! `-jN` output rests on.
 
-use obs::{PredictionMade, PredictionResolved, Provenance, ProvenanceSink};
+use obs::{PredictionMade, PredictionResolved, Provenance};
 use proptest::prelude::*;
 
 const OP_CLASSES: [&str; 4] = ["load", "int_alu", "int_mul", "store"];

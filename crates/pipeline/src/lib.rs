@@ -39,7 +39,7 @@ pub use cache::Cache;
 pub use config::{CacheConfig, PipelineConfig, MAX_ROB_ENTRIES};
 pub use prefetch::{GDiffPrefetcher, NextLinePrefetcher, Prefetcher, StridePrefetcher};
 pub use sim::{NullObserver, SimObserver, Simulator};
-pub use stats::{DelayHistogram, SimStats};
+pub use stats::SimStats;
 pub use vp::{
     HgvqEngine, LocalEngine, NoVp, OracleEngine, SgvqEngine, TokenProvenance, VpEngine, VpToken,
 };

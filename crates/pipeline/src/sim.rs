@@ -20,13 +20,9 @@ use std::collections::{HashMap, VecDeque};
 use std::mem;
 
 use obs::trace::{tracer, TraceEvent, TraceKind};
-use obs::{
-    CounterId, HistogramId, PredictionMade, PredictionResolved, Provenance, ProvenanceSink,
-    Registry,
-};
+use obs::{CounterId, HistogramId, PredictionMade, PredictionResolved, Provenance, Registry};
 use workloads::{DynInst, OpClass};
 
-use crate::stats::DelayHistogram;
 use crate::vp::record_token;
 use crate::{
     BranchPredictor, Cache, PipelineConfig, Prefetcher, SimStats, VpEngine, VpToken,
@@ -439,7 +435,7 @@ impl Simulator {
             branch_mispredict_rate: rate(b_miss, b_lookups),
             vp: self.vp_stats,
             vp_missing_loads: self.vp_missing,
-            delays: DelayHistogram::from(self.metrics.histogram_value(self.ids.delays).clone()),
+            delays: self.metrics.histogram_value(self.ids.delays).clone(),
             reissues: self.metrics.counter_value(self.ids.reissues),
             prefetches_issued: self.metrics.counter_value(self.ids.prefetches_issued),
             prefetches_useful: self.metrics.counter_value(self.ids.prefetches_useful),

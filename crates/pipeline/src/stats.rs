@@ -3,88 +3,6 @@
 use obs::JsonValue;
 use predictors::PredictorStats;
 
-/// Histogram of value delays: for each value-producing instruction, the
-/// number of values produced (written back) between its dispatch and its
-/// own write-back — the paper's Figure 12 metric.
-///
-/// Backed by the telemetry crate's mergeable [`obs::Histogram`], so delay
-/// distributions from separate runs can be merged and run reports get
-/// p50/p90/p99 for free.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DelayHistogram {
-    inner: obs::Histogram,
-}
-
-impl DelayHistogram {
-    /// Creates a histogram with buckets `0..=max` (larger delays clamp).
-    pub fn new(max: usize) -> Self {
-        DelayHistogram {
-            inner: obs::Histogram::new(max),
-        }
-    }
-
-    /// Records one observed delay.
-    pub fn record(&mut self, delay: u64) {
-        self.inner.record(delay);
-    }
-
-    /// Merges another histogram into this one (bucket layouts must match).
-    pub fn merge(&mut self, other: &DelayHistogram) {
-        self.inner.merge(&other.inner);
-    }
-
-    /// Fraction of observations in bucket `d`.
-    pub fn fraction(&self, d: usize) -> f64 {
-        self.inner.fraction(d)
-    }
-
-    /// Mean observed delay.
-    pub fn mean(&self) -> f64 {
-        self.inner.mean()
-    }
-
-    /// Median delay bucket.
-    pub fn p50(&self) -> u64 {
-        self.inner.p50()
-    }
-
-    /// 90th-percentile delay bucket.
-    pub fn p90(&self) -> u64 {
-        self.inner.p90()
-    }
-
-    /// 99th-percentile delay bucket.
-    pub fn p99(&self) -> u64 {
-        self.inner.p99()
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.inner.total()
-    }
-
-    /// Bucket count (max delay + 1).
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the histogram is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Summary plus per-bucket fractions as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        self.inner.to_json_with_buckets()
-    }
-}
-
-impl From<obs::Histogram> for DelayHistogram {
-    fn from(inner: obs::Histogram) -> Self {
-        DelayHistogram { inner }
-    }
-}
-
 /// End-of-run statistics of one simulation.
 #[derive(Debug, Clone)]
 pub struct SimStats {
@@ -107,8 +25,11 @@ pub struct SimStats {
     /// Value-prediction statistics restricted to loads that missed the
     /// D-cache (the §7 "missing loads" analysis).
     pub vp_missing_loads: PredictorStats,
-    /// Value-delay histogram (Figure 12).
-    pub delays: DelayHistogram,
+    /// Value-delay histogram (Figure 12): for each value-producing
+    /// instruction, the number of values produced (written back) between
+    /// its dispatch and its own write-back. Larger delays clamp into the
+    /// top bucket.
+    pub delays: obs::Histogram,
     /// Instructions that were re-executed due to value misprediction.
     pub reissues: u64,
     /// Prefetches issued by the attached [`Prefetcher`](crate::Prefetcher).
@@ -144,7 +65,7 @@ impl SimStats {
             .with("prefetches_useful", self.prefetches_useful)
             .with("vp", self.vp.to_json())
             .with("vp_missing_loads", self.vp_missing_loads.to_json())
-            .with("delays", self.delays.to_json())
+            .with("delays", self.delays.to_json_with_buckets())
     }
 }
 
@@ -154,7 +75,7 @@ mod tests {
 
     #[test]
     fn histogram_clamps_and_averages() {
-        let mut h = DelayHistogram::new(4);
+        let mut h = obs::Histogram::new(4);
         h.record(0);
         h.record(2);
         h.record(100); // clamps into bucket 4
@@ -166,7 +87,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_is_zero() {
-        let h = DelayHistogram::new(4);
+        let h = obs::Histogram::new(4);
         assert_eq!(h.fraction(0), 0.0);
         assert_eq!(h.mean(), 0.0);
         assert!(h.is_empty());
@@ -175,49 +96,13 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_walk_the_distribution() {
-        let mut h = DelayHistogram::new(32);
-        // 60% at delay 2, 35% at delay 10, 5% at delay 25.
-        for _ in 0..60 {
-            h.record(2);
-        }
-        for _ in 0..35 {
-            h.record(10);
-        }
-        for _ in 0..5 {
-            h.record(25);
-        }
-        assert_eq!(h.p50(), 2);
-        assert_eq!(h.p90(), 10);
-        assert_eq!(h.p99(), 25);
-    }
-
-    #[test]
     fn percentiles_report_top_bucket_for_clamped_tail() {
-        let mut h = DelayHistogram::new(8);
+        let mut h = obs::Histogram::new(8);
         for _ in 0..100 {
             h.record(500); // all observations clamp into bucket 8
         }
         assert_eq!(h.p50(), 8);
         assert_eq!(h.p99(), 8);
-    }
-
-    #[test]
-    fn merge_combines_runs() {
-        let mut a = DelayHistogram::new(16);
-        let mut b = DelayHistogram::new(16);
-        for _ in 0..10 {
-            a.record(1);
-        }
-        for _ in 0..10 {
-            b.record(9);
-        }
-        a.merge(&b);
-        assert_eq!(a.total(), 20);
-        assert_eq!(a.fraction(1), 0.5);
-        assert_eq!(a.fraction(9), 0.5);
-        assert_eq!(a.p50(), 1);
-        assert_eq!(a.p90(), 9);
     }
 
     fn sample_stats() -> SimStats {
@@ -231,7 +116,7 @@ mod tests {
             branch_mispredict_rate: 0.05,
             vp: PredictorStats::new(),
             vp_missing_loads: PredictorStats::new(),
-            delays: DelayHistogram::new(8),
+            delays: obs::Histogram::new(8),
             reissues: 0,
             prefetches_issued: 0,
             prefetches_useful: 0,

@@ -12,6 +12,7 @@
 //! └────────────────────────────────────────────────────────────┘
 //! ```
 //!
+//! A frame is one `tracefile::record` record, read under [`MAX_FRAME_LEN`].
 //! Integers are little-endian; `flags` and `reserved` must be zero in v1.
 //! Control payloads ([`HELLO`], [`WELCOME`], [`ACK`], …) are compact JSON
 //! objects; the [`CHUNK`] payload is a `u64` little-endian sequence number
@@ -31,23 +32,25 @@
 //! errors: the server answers with an [`ERROR`] frame and kills that
 //! session, never the daemon.
 
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 
 use tracefile::container::CHUNK_HEADER_LEN;
 use tracefile::crc32::{crc32, crc32_combine};
+use tracefile::record::{self, write_record, RecordError, RecordHeader, RECORD_HEADER_LEN};
 
 /// Frame magic: "gSv1".
 pub const FRAME_MAGIC: [u8; 4] = *b"gSv1";
-/// Frame header length in bytes.
-pub const FRAME_HEADER_LEN: usize = 16;
+/// Frame header length in bytes (a `tracefile::record` header).
+pub const FRAME_HEADER_LEN: usize = RECORD_HEADER_LEN;
 /// Upper bound on one frame's payload (a default-cap wire chunk is a few
 /// hundred KiB; 16 MiB leaves generous headroom without letting a bad
 /// length field allocate the moon).
 pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
-/// The most [`read_frame`] reserves before a payload's bytes arrive; a
-/// longer payload grows the buffer as it is read, so a header alone
-/// cannot make the reader allocate [`MAX_FRAME_LEN`].
-pub const MAX_FRAME_RESERVE: usize = 256 * 1024;
+/// The most [`read_frame`] reserves before a payload's bytes arrive (the
+/// record codec's bound); a longer payload grows the buffer as it is
+/// read, so a header alone cannot make the reader allocate
+/// [`MAX_FRAME_LEN`].
+pub const MAX_FRAME_RESERVE: usize = record::MAX_RESERVE;
 
 /// Client → server: open a session (JSON session parameters).
 pub const HELLO: u8 = 0x01;
@@ -175,25 +178,20 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// The 16-byte header of a frame carrying `payload`.
-fn frame_header(ftype: u8, payload: &[u8]) -> [u8; FRAME_HEADER_LEN] {
+/// The record header of a frame carrying `payload`: the magic word, then
+/// the type byte with flags and reserved bytes zero in v1.
+fn frame_header(ftype: u8, payload: &[u8]) -> RecordHeader {
     assert!(
         payload.len() as u64 <= MAX_FRAME_LEN as u64,
         "frame too big"
     );
-    let mut hdr = [0u8; FRAME_HEADER_LEN];
-    hdr[0..4].copy_from_slice(&FRAME_MAGIC);
-    hdr[4] = ftype;
-    // hdr[5..8]: flags and reserved, zero in v1.
-    hdr[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    hdr[12..16].copy_from_slice(&crc32(payload).to_le_bytes());
-    hdr
+    RecordHeader::new([u32::from_le_bytes(FRAME_MAGIC), ftype.into()], payload)
 }
 
 /// Encodes one frame into a byte vector.
 pub fn encode_frame(ftype: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&frame_header(ftype, payload));
+    out.extend_from_slice(&frame_header(ftype, payload).to_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -201,59 +199,50 @@ pub fn encode_frame(ftype: u8, payload: &[u8]) -> Vec<u8> {
 /// Writes one frame (header + payload + flush) as one vectored write,
 /// without copying the payload.
 pub fn write_frame(w: &mut impl Write, ftype: u8, payload: &[u8]) -> Result<(), FrameError> {
-    let hdr = frame_header(ftype, payload);
-    let mut slices = [IoSlice::new(&hdr), IoSlice::new(payload)];
-    let mut rest = &mut slices[..];
-    while !rest.is_empty() {
-        match w.write_vectored(rest) {
-            Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
-            Ok(n) => IoSlice::advance_slices(&mut rest, n),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
+    write_record(w, &frame_header(ftype, payload), payload)?;
     w.flush()?;
     Ok(())
 }
 
 /// Reads one frame, validating magic, reserved bits, length, and CRC.
 ///
-/// At most [`MAX_FRAME_RESERVE`] bytes are reserved before the payload
-/// arrives; the buffer is filled without being zeroed first.
+/// The magic and reserved bits are checked before any payload byte is
+/// read. At most [`MAX_FRAME_RESERVE`] bytes are reserved before the
+/// payload arrives; the buffer is filled without being zeroed first.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
-    let mut hdr = [0u8; FRAME_HEADER_LEN];
-    match read_fully(r, &mut hdr) {
-        Ok(()) => {}
-        Err(ShortRead::Eof { got: 0 }) => return Err(FrameError::Closed),
-        Err(ShortRead::Eof { .. }) => return Err(FrameError::Truncated { what: "header" }),
-        Err(ShortRead::Io(e)) => return Err(FrameError::Io(e)),
+    let header = record::read_header(r)
+        .map_err(|e| frame_error(e, "header"))?
+        .ok_or(FrameError::Closed)?;
+    let [magic, kind] = header.tag;
+    if magic.to_le_bytes() != FRAME_MAGIC {
+        return Err(FrameError::BadMagic(magic.to_le_bytes()));
     }
-    if hdr[0..4] != FRAME_MAGIC {
-        return Err(FrameError::BadMagic(hdr[0..4].try_into().expect("4 bytes")));
-    }
-    let ftype = hdr[4];
-    if hdr[5] != 0 || hdr[6] != 0 || hdr[7] != 0 {
+    if kind > 0xff {
         return Err(FrameError::BadReserved);
     }
-    let len = u32::from_le_bytes(hdr[8..12].try_into().expect("4 bytes"));
-    let stored = u32::from_le_bytes(hdr[12..16].try_into().expect("4 bytes"));
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::TooLarge(len));
-    }
-    let mut payload = Vec::with_capacity((len as usize).min(MAX_FRAME_RESERVE));
-    r.take(u64::from(len)).read_to_end(&mut payload)?;
-    if payload.len() != len as usize {
-        return Err(FrameError::Truncated { what: "payload" });
-    }
-    let computed = crc32(&payload);
-    if computed != stored {
-        return Err(FrameError::Crc { stored, computed });
+    let mut payload = Vec::new();
+    let computed = record::read_body(r, &header, MAX_FRAME_LEN, &mut payload)
+        .map_err(|e| frame_error(e, "payload"))?;
+    if computed != header.crc {
+        return Err(FrameError::Crc {
+            stored: header.crc,
+            computed,
+        });
     }
     Ok(Frame {
-        ftype,
+        ftype: kind as u8,
         payload,
-        crc: stored,
+        crc: header.crc,
     })
+}
+
+/// The frame error for a record read that failed inside `what`.
+fn frame_error(e: RecordError, what: &'static str) -> FrameError {
+    match e {
+        RecordError::Torn => FrameError::Truncated { what },
+        RecordError::TooLong(len) => FrameError::TooLarge(len),
+        RecordError::Io(e) => FrameError::Io(e),
+    }
 }
 
 /// Parses a frame payload as a JSON object.
@@ -301,24 +290,6 @@ pub(crate) fn wire_payload_crc(frame: &Frame) -> u32 {
     let head = frame.payload.len().min(CHUNK_PREFIX_LEN);
     let tail = (frame.payload.len() - head) as u64;
     crc32_combine(crc32(&frame.payload[..head]), frame.crc, tail)
-}
-
-enum ShortRead {
-    Eof { got: usize },
-    Io(io::Error),
-}
-
-fn read_fully(r: &mut impl Read, buf: &mut [u8]) -> Result<(), ShortRead> {
-    let mut got = 0;
-    while got < buf.len() {
-        match r.read(&mut buf[got..]) {
-            Ok(0) => return Err(ShortRead::Eof { got }),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ShortRead::Io(e)),
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -415,6 +386,75 @@ mod tests {
             let f = read_frame(&mut &bytes[..]).unwrap();
             let direct = crc32(f.payload.get(CHUNK_PREFIX_LEN..).unwrap_or_default());
             assert_eq!(wire_payload_crc(&f), direct, "wire chunk of {len} bytes");
+        }
+    }
+
+    /// A HELLO, a CHUNK carrying a 64-record gcc wire chunk, and an
+    /// empty BYE, back to back.
+    fn pinned_stream() -> Vec<u8> {
+        let insts: Vec<workloads::DynInst> = workloads::Benchmark::Gcc.build(5).take(64).collect();
+        let wire = tracefile::encode_wire_chunk(&insts, 0);
+        let mut bytes = encode_frame(HELLO, b"{\"schema\":\"gdiff-serve/v1\",\"name\":\"pin\"}");
+        bytes.extend(encode_frame(CHUNK, &chunk_payload(3, &wire)));
+        bytes.extend(encode_frame(BYE, &[]));
+        bytes
+    }
+
+    #[test]
+    fn frame_bytes_are_pinned() {
+        let bytes = pinned_stream();
+        assert_eq!((bytes.len(), crc32(&bytes)), (600, 0x6238_0736));
+    }
+
+    /// Reads frames until one fails; a clean stream ends in `Closed`.
+    fn read_all(mut bytes: &[u8]) -> (Vec<Frame>, FrameError) {
+        let mut frames = Vec::new();
+        loop {
+            match read_frame(&mut bytes) {
+                Ok(f) => frames.push(f),
+                Err(e) => return (frames, e),
+            }
+        }
+    }
+
+    #[test]
+    fn every_prefix_and_bit_flip_of_a_frame_stream_is_an_error() {
+        let bytes = pinned_stream();
+        let (frames, end) = read_all(&bytes);
+        assert!(matches!(end, FrameError::Closed) && frames.len() == 3);
+        let mut starts = vec![0];
+        for f in &frames {
+            starts.push(starts.last().unwrap() + FRAME_HEADER_LEN + f.payload.len());
+        }
+        for cut in 0..bytes.len() {
+            let (got, end) = read_all(&bytes[..cut]);
+            assert_eq!(got[..], frames[..got.len()], "cut at {cut}");
+            let boundary = starts.contains(&cut);
+            assert_eq!(
+                matches!(end, FrameError::Closed),
+                boundary,
+                "cut at {cut}: {end}"
+            );
+            assert!(boundary || matches!(end, FrameError::Truncated { .. }));
+        }
+        for bit in 0..bytes.len() * 8 {
+            let pos = bit / 8;
+            let mut bad = bytes.clone();
+            bad[pos] ^= 1 << (bit % 8);
+            let (got, end) = read_all(&bad);
+            let hit = starts.iter().rposition(|&s| s <= pos).unwrap();
+            assert_eq!(got[..hit], frames[..hit], "bit {bit}");
+            if pos - starts[hit] == 4 {
+                // The type byte is outside the payload CRC: the frame
+                // reads back whole under the flipped type.
+                let mut want = frames.clone();
+                want[hit].ftype ^= 1 << (bit % 8);
+                assert_eq!(got, want, "bit {bit}");
+                assert!(matches!(end, FrameError::Closed));
+            } else {
+                assert_eq!(got.len(), hit, "bit {bit} leaked a damaged frame");
+                assert!(!matches!(end, FrameError::Closed), "bit {bit}: {end}");
+            }
         }
     }
 

@@ -21,11 +21,13 @@
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! All integers are little-endian. The record CRC covers the `cell`,
-//! `worker`, and `payload_len` fields *and* the payload, so a single
-//! flipped bit anywhere in a record is detected. `grid_hash` binds a
-//! segment to the grid it was computed for: resuming against a different
-//! grid is refused at open time instead of silently mixing cell spaces.
+//! All integers are little-endian. Each record is one
+//! [`record`](crate::record), read under the [`CKPT_MAX_PAYLOAD`] bound.
+//! Its CRC covers the `cell`, `worker`, and `payload_len` fields *and* the
+//! payload, so a single flipped bit anywhere in a record is detected.
+//! `grid_hash` binds a segment to the grid it was computed for: resuming
+//! against a different grid is refused at open time instead of silently
+//! mixing cell spaces.
 //!
 //! # Damage policy
 //!
@@ -45,10 +47,12 @@
 //! a failed one.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use crate::crc32::crc32;
+use crate::record::{
+    read_body, read_header, write_record, RecordError, RecordHeader, RECORD_HEADER_LEN,
+};
 
 /// Leading file magic (includes a format generation byte).
 pub const CKPT_MAGIC: [u8; 8] = *b"gdswpck\x01";
@@ -56,8 +60,9 @@ pub const CKPT_MAGIC: [u8; 8] = *b"gdswpck\x01";
 pub const CKPT_VERSION: u32 = 1;
 /// Header length in bytes.
 pub const CKPT_HEADER_LEN: u64 = 24;
-/// Per-record frame header length in bytes (cell, worker, len, crc).
-pub const CKPT_RECORD_HEADER_LEN: u64 = 16;
+/// Per-record frame header length in bytes (cell, worker, len, crc): a
+/// [`record`](crate::record) header.
+pub const CKPT_RECORD_HEADER_LEN: u64 = RECORD_HEADER_LEN as u64;
 /// Largest payload a record may carry. Sweep cell results are a few
 /// hundred bytes of JSON; anything past this bound is treated as a
 /// corrupt length field rather than an allocation request.
@@ -207,13 +212,7 @@ impl CkptWriter {
         if !path.exists() {
             return Ok(CkptWriter::create(path, grid_hash)?);
         }
-        let mut f = File::open(path)?;
-        let mut header = [0u8; CKPT_HEADER_LEN as usize];
-        f.read_exact(&mut header).map_err(|_| CkptError::NotACkpt {
-            detail: "file shorter than a checkpoint header".to_string(),
-        })?;
-        validate_header(&header, grid_hash)?;
-        drop(f);
+        read_segment_header(&mut File::open(path)?, grid_hash)?;
         let file = OpenOptions::new().append(true).open(path)?;
         Ok(CkptWriter {
             file: BufWriter::new(file),
@@ -227,33 +226,19 @@ impl CkptWriter {
             payload.len() <= CKPT_MAX_PAYLOAD as usize,
             "checkpoint payload exceeds CKPT_MAX_PAYLOAD"
         );
-        let mut frame = Vec::with_capacity(CKPT_RECORD_HEADER_LEN as usize + payload.len());
-        frame.extend_from_slice(&cell.to_le_bytes());
-        frame.extend_from_slice(&worker.to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        let crc = record_crc(cell, worker, payload);
-        frame.extend_from_slice(&crc.to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.file.write_all(&frame)?;
+        let mut header = RecordHeader::new([cell, worker], payload);
+        header.crc = header.covered_crc(header.crc);
+        write_record(&mut self.file, &header, payload)?;
         self.file.flush()
     }
 }
 
-/// The CRC a record frame must carry: covers the frame header fields
-/// (cell, worker, len) and the payload.
-fn record_crc(cell: u32, worker: u32, payload: &[u8]) -> u32 {
-    let mut covered = Vec::with_capacity(12 + payload.len());
-    covered.extend_from_slice(&cell.to_le_bytes());
-    covered.extend_from_slice(&worker.to_le_bytes());
-    covered.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    covered.extend_from_slice(payload);
-    crc32(&covered)
-}
-
-fn validate_header(
-    header: &[u8; CKPT_HEADER_LEN as usize],
-    grid_hash: u32,
-) -> Result<u32, CkptError> {
+/// Reads and validates a segment's header against `grid_hash`.
+fn read_segment_header(r: &mut impl Read, grid_hash: u32) -> Result<(), CkptError> {
+    let mut header = [0u8; CKPT_HEADER_LEN as usize];
+    r.read_exact(&mut header).map_err(|_| CkptError::NotACkpt {
+        detail: "file shorter than a checkpoint header".to_string(),
+    })?;
     if header[..8] != CKPT_MAGIC {
         return Err(CkptError::NotACkpt {
             detail: "bad magic".to_string(),
@@ -270,150 +255,86 @@ fn validate_header(
             expected: grid_hash,
         });
     }
-    Ok(found)
+    Ok(())
 }
 
 /// Reads a segment: header validation is an `Err`, per-record damage is
 /// reported in [`CkptRead::damage`] with every intact record preserved.
 pub fn read_ckpt(path: &Path, grid_hash: u32) -> Result<CkptRead, CkptError> {
     let mut r = BufReader::new(File::open(path)?);
-    let mut header = [0u8; CKPT_HEADER_LEN as usize];
-    r.read_exact(&mut header).map_err(|_| CkptError::NotACkpt {
-        detail: "file shorter than a checkpoint header".to_string(),
-    })?;
-    let hash = validate_header(&header, grid_hash)?;
-
+    read_segment_header(&mut r, grid_hash)?;
     let mut records = Vec::new();
-    let mut damage = None;
-    let mut offset = CKPT_HEADER_LEN;
-    loop {
-        let mut frame = [0u8; CKPT_RECORD_HEADER_LEN as usize];
-        match read_exact_or_eof(&mut r, &mut frame) {
-            ReadOutcome::Eof => break,
-            ReadOutcome::Partial => {
-                damage = Some(CkptDamage::TornTail { offset });
-                break;
-            }
-            ReadOutcome::Full => {}
-        }
-        let cell = u32::from_le_bytes(frame[0..4].try_into().unwrap());
-        let worker = u32::from_le_bytes(frame[4..8].try_into().unwrap());
-        let len = u32::from_le_bytes(frame[8..12].try_into().unwrap());
-        let crc = u32::from_le_bytes(frame[12..16].try_into().unwrap());
-        if len > CKPT_MAX_PAYLOAD {
-            damage = Some(CkptDamage::Corrupt {
-                cell,
-                offset,
-                reason: format!("payload length {len} exceeds the {CKPT_MAX_PAYLOAD} bound"),
-            });
-            break;
-        }
-        let mut payload = vec![0u8; len as usize];
-        match read_exact_or_eof(&mut r, &mut payload) {
-            ReadOutcome::Full => {}
-            ReadOutcome::Eof | ReadOutcome::Partial => {
-                damage = Some(CkptDamage::TornTail { offset });
-                break;
-            }
-        }
-        if record_crc(cell, worker, &payload) != crc {
-            damage = Some(CkptDamage::Corrupt {
-                cell,
-                offset,
-                reason: "record crc mismatch".to_string(),
-            });
-            break;
-        }
+    let damage = scan(&mut r, |cell, worker, payload| {
         records.push(CkptRecord {
             cell,
             worker,
-            payload,
-        });
-        offset += CKPT_RECORD_HEADER_LEN + len as u64;
-    }
+            payload: std::mem::take(payload),
+        })
+    });
     Ok(CkptRead {
-        grid_hash: hash,
+        grid_hash,
         records,
         damage,
     })
 }
 
-/// Counts how many intact records a segment currently holds — the cheap
-/// scan behind the sweep parent's progress gauges. Any unreadable or
-/// damaged state simply ends the count.
+/// Counts the intact records a segment holds — the scan behind the sweep
+/// parent's progress gauges, and the count [`read_ckpt`] would return.
+/// Any unreadable or damaged state simply ends the count.
 pub fn count_ckpt_records(path: &Path) -> u64 {
-    let Ok(mut f) = File::open(path) else {
+    let Ok(f) = File::open(path) else {
         return 0;
     };
-    let len = match f.seek(SeekFrom::End(0)) {
-        Ok(n) => n,
-        Err(_) => return 0,
-    };
-    if f.seek(SeekFrom::Start(CKPT_HEADER_LEN)).is_err() {
-        return 0;
-    }
     let mut r = BufReader::new(f);
-    let mut offset = CKPT_HEADER_LEN;
-    let mut count = 0u64;
-    loop {
-        let mut frame = [0u8; CKPT_RECORD_HEADER_LEN as usize];
-        if !matches!(read_exact_or_eof(&mut r, &mut frame), ReadOutcome::Full) {
-            break;
-        }
-        let plen = u32::from_le_bytes(frame[8..12].try_into().unwrap()) as u64;
-        if plen > CKPT_MAX_PAYLOAD as u64 || offset + CKPT_RECORD_HEADER_LEN + plen > len {
-            break;
-        }
-        // Skip the payload without reading it: the full-fidelity read path
-        // re-validates CRCs; this scan only sizes progress.
-        if skip(&mut r, plen).is_err() {
-            break;
-        }
-        offset += CKPT_RECORD_HEADER_LEN + plen;
-        count += 1;
+    if r.read_exact(&mut [0u8; CKPT_HEADER_LEN as usize]).is_err() {
+        return 0;
     }
+    let mut count = 0;
+    scan(&mut r, |_, _, _| count += 1);
     count
 }
 
-fn skip(r: &mut impl Read, mut n: u64) -> io::Result<()> {
-    let mut buf = [0u8; 4096];
-    while n > 0 {
-        let take = n.min(buf.len() as u64) as usize;
-        r.read_exact(&mut buf[..take])?;
-        n -= take as u64;
-    }
-    Ok(())
-}
-
-enum ReadOutcome {
-    Full,
-    Partial,
-    Eof,
-}
-
-/// `read_exact` that distinguishes "cleanly at EOF" from "EOF mid-buffer".
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> ReadOutcome {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    ReadOutcome::Eof
-                } else {
-                    ReadOutcome::Partial
-                }
+/// Walks the records after the segment header, handing each intact one's
+/// cell, worker and payload to `each`; returns the damage that ended the
+/// walk, if any. An I/O error reads as a torn tail: the cells past it
+/// are recomputed, never trusted.
+fn scan(r: &mut impl Read, mut each: impl FnMut(u32, u32, &mut Vec<u8>)) -> Option<CkptDamage> {
+    let mut offset = CKPT_HEADER_LEN;
+    let mut payload = Vec::new();
+    loop {
+        let torn = Some(CkptDamage::TornTail { offset });
+        let Ok(header) = read_header(r) else {
+            return torn;
+        };
+        let header = header?; // a clean EOF ends the scan undamaged
+        let [cell, worker] = header.tag;
+        let corrupt = |reason| {
+            Some(CkptDamage::Corrupt {
+                cell,
+                offset,
+                reason,
+            })
+        };
+        payload.clear();
+        match read_body(r, &header, CKPT_MAX_PAYLOAD, &mut payload) {
+            Ok(crc) if header.covered_crc(crc) == header.crc => {}
+            Ok(_) => return corrupt("record crc mismatch".to_string()),
+            Err(RecordError::TooLong(len)) => {
+                return corrupt(format!(
+                    "payload length {len} exceeds the {CKPT_MAX_PAYLOAD} bound"
+                ))
             }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Partial,
+            Err(_) => return torn,
         }
+        each(cell, worker, &mut payload);
+        offset += CKPT_RECORD_HEADER_LEN + u64::from(header.len);
     }
-    ReadOutcome::Full
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc32::crc32;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -468,6 +389,22 @@ mod tests {
             Err(CkptError::GridMismatch { .. })
         ));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn ckpt_bytes_are_pinned() {
+        // Three records, one with an empty payload: the segment header,
+        // every record header field and the CRC's coverage of cell,
+        // worker and length all land in the digest.
+        let path = tmp("pinned");
+        let mut w = CkptWriter::create(&path, 0x5eed_cafe).unwrap();
+        w.append(0, 0, b"{\"cell\":0,\"acc\":0.5}").unwrap();
+        w.append(4, 1, b"").unwrap();
+        w.append(9, 2, b"ninth").unwrap();
+        drop(w);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!((bytes.len(), crc32(&bytes)), (97, 0xFBB9_9B1F));
     }
 
     #[test]

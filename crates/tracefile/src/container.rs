@@ -41,12 +41,14 @@
 //! the serve daemon exchanges: [`encode_wire_chunk`] writes one,
 //! [`decode_wire_chunk`] validates and decodes one, and a chunk copied
 //! verbatim out of a finished container ([`TraceReader::read_chunk_raw`])
-//! is a valid wire chunk. The writer and the wire encoder share one chunk
-//! header encoder, and the container reader and the wire decoder share
-//! one validate-and-decode step, so the two surfaces cannot drift apart.
+//! is a valid wire chunk. A chunk is one [`record`](crate::record): its
+//! tag holds the stream id and the record count, and its CRC is the
+//! payload's. The container reader and the wire decoder share one
+//! validate-and-decode step, so the two surfaces cannot drift apart.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::ops::DerefMut;
 use std::path::Path;
 
 use workloads::trace::ParseTraceError;
@@ -54,6 +56,7 @@ use workloads::DynInst;
 
 use crate::codec::{decode_payload, encode_inst, DeltaState};
 use crate::crc32::crc32;
+use crate::record::{write_record, RecordHeader, RECORD_HEADER_LEN};
 
 /// Leading file magic (includes a format generation byte).
 pub const MAGIC: [u8; 8] = *b"gdtrace\x01";
@@ -63,8 +66,8 @@ pub const TRAILER_MAGIC: [u8; 8] = *b"gdtrailr";
 pub const VERSION: u32 = 1;
 /// Header length in bytes.
 pub const HEADER_LEN: u64 = 24;
-/// Per-chunk header length in bytes.
-pub const CHUNK_HEADER_LEN: u64 = 16;
+/// Per-chunk header length in bytes (a [`record`](crate::record) header).
+pub const CHUNK_HEADER_LEN: u64 = RECORD_HEADER_LEN as u64;
 /// Trailer length in bytes.
 pub const TRAILER_LEN: u64 = 20;
 /// Default records per chunk. 64 Ki records keeps chunk payloads around a
@@ -230,30 +233,6 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// The 16-byte chunk header for `payload`: stream id, record count,
-/// payload length and payload CRC, little-endian.
-fn chunk_header(stream_id: u32, count: u32, payload: &[u8]) -> [u8; CHUNK_HEADER_LEN as usize] {
-    let mut hdr = [0u8; CHUNK_HEADER_LEN as usize];
-    hdr[0..4].copy_from_slice(&stream_id.to_le_bytes());
-    hdr[4..8].copy_from_slice(&count.to_le_bytes());
-    hdr[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    hdr[12..16].copy_from_slice(&crc32(payload).to_le_bytes());
-    hdr
-}
-
-/// The header fields of a raw chunk and its stored payload CRC, or `None`
-/// when `bytes` is shorter than a chunk header.
-fn parse_chunk_header(bytes: &[u8]) -> Option<(WireChunk, u32)> {
-    let hdr = bytes.get(..CHUNK_HEADER_LEN as usize)?;
-    let field = |i: usize| u32::from_le_bytes(hdr[i..i + 4].try_into().expect("4 bytes"));
-    let header = WireChunk {
-        stream_id: field(0),
-        count: field(4),
-        payload_len: field(8),
-    };
-    Some((header, field(12)))
-}
-
 /// Encodes `insts` as one self-contained wire chunk (16-byte chunk header
 /// plus delta-compressed payload), starting from a fresh delta state.
 ///
@@ -268,9 +247,9 @@ pub fn encode_wire_chunk(insts: &[DynInst], stream_id: u32) -> Vec<u8> {
     for inst in insts {
         encode_inst(&mut payload, &mut state, inst);
     }
-    let hdr = chunk_header(stream_id, insts.len() as u32, &payload);
-    let mut out = Vec::with_capacity(hdr.len() + payload.len());
-    out.extend_from_slice(&hdr);
+    let hdr = RecordHeader::new([stream_id, insts.len() as u32], &payload);
+    let mut out = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
+    out.extend_from_slice(&hdr.to_bytes());
     out.extend_from_slice(&payload);
     out
 }
@@ -308,11 +287,17 @@ pub fn decode_wire_chunk_with_crc(
     chunk_cap: u32,
     out: &mut Vec<DynInst>,
 ) -> Result<WireChunk, WireError> {
-    let hdr_len = CHUNK_HEADER_LEN as usize;
-    let (header, stored) = parse_chunk_header(bytes).ok_or(WireError::Truncated {
+    let hdr_len = RECORD_HEADER_LEN;
+    let record = RecordHeader::parse(bytes).ok_or(WireError::Truncated {
         need: hdr_len,
         have: bytes.len(),
     })?;
+    let [stream_id, count] = record.tag;
+    let header = WireChunk {
+        stream_id,
+        count,
+        payload_len: record.len,
+    };
     if header.count == 0 || header.count > chunk_cap {
         return Err(WireError::CountOutOfRange {
             count: header.count,
@@ -326,9 +311,9 @@ pub fn decode_wire_chunk_with_crc(
             have: bytes.len(),
         });
     }
-    if payload_crc != stored {
+    if payload_crc != record.crc {
         return Err(WireError::Crc {
-            stored,
+            stored: record.crc,
             computed: payload_crc,
         });
     }
@@ -502,10 +487,9 @@ impl<W: Write> TraceWriter<W> {
             return Ok(());
         }
         let stream_id = self.cur_stream.expect("records require an active stream");
-        let payload_len = self.buf.len() as u32;
-        self.w
-            .write_all(&chunk_header(stream_id, self.count, &self.buf))?;
-        self.w.write_all(&self.buf)?;
+        let header = RecordHeader::new([stream_id, self.count], &self.buf);
+        write_record(&mut self.w, &header, &self.buf)?;
+        let payload_len = header.len;
         self.index.push(ChunkEntry {
             offset: self.pos,
             stream_id,
@@ -816,14 +800,11 @@ impl<R: Read + Seek> TraceReader<R> {
             reason,
         };
         self.r.seek(SeekFrom::Start(entry.offset))?;
-        let mut raw = vec![0u8; CHUNK_HEADER_LEN as usize + entry.payload_len as usize];
+        let mut raw = vec![0u8; RECORD_HEADER_LEN + entry.payload_len as usize];
         self.r.read_exact(&mut raw)?;
-        let (header, _) = parse_chunk_header(&raw).expect("raw chunks hold a header");
-        let WireChunk {
-            stream_id,
-            count,
-            payload_len,
-        } = header;
+        let header = RecordHeader::parse(&raw).expect("raw chunks hold a header");
+        let [stream_id, count] = header.tag;
+        let payload_len = header.len;
         if stream_id != entry.stream_id || count != entry.count || payload_len != entry.payload_len
         {
             return Err(corrupt(format!(
@@ -832,7 +813,7 @@ impl<R: Read + Seek> TraceReader<R> {
                 entry.stream_id, entry.count, entry.payload_len
             )));
         }
-        let crc = crc32(&raw[CHUNK_HEADER_LEN as usize..]);
+        let crc = crc32(&raw[RECORD_HEADER_LEN..]);
         decode_wire_chunk_with_crc(&raw, crc, self.chunk_cap, out)
             .map_err(|e| corrupt(e.to_string()))?;
         Ok(raw)
@@ -895,13 +876,37 @@ impl<R: Read + Seek> TraceReader<R> {
     ///
     /// [`TraceFileError::UnknownStream`] when no stream has that name;
     /// per-chunk validation errors surface as iterator items.
-    pub fn stream_records(&mut self, name: &str) -> Result<StreamRecords<'_, R>, TraceFileError> {
-        let sid = self
+    pub fn stream_records(
+        &mut self,
+        name: &str,
+    ) -> Result<StreamRecords<&mut Self>, TraceFileError> {
+        StreamRecords::new(self, name)
+    }
+}
+
+/// Iterator over one stream's records (see [`TraceReader::stream_records`])
+/// through a reader it borrows or, boxed, owns. It ends after the first
+/// error.
+#[derive(Debug)]
+pub struct StreamRecords<T> {
+    reader: T,
+    chunks: std::vec::IntoIter<usize>,
+    buf: std::vec::IntoIter<DynInst>,
+}
+
+impl<R: Read + Seek, T: DerefMut<Target = TraceReader<R>>> StreamRecords<T> {
+    /// Iterates the stream `name` of `reader`.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceFileError::UnknownStream`] when no stream has that name.
+    pub fn new(reader: T, name: &str) -> Result<Self, TraceFileError> {
+        let sid = reader
             .stream_id(name)
             .ok_or_else(|| TraceFileError::UnknownStream {
                 name: name.to_string(),
             })?;
-        let chunks: Vec<usize> = self
+        let chunks: Vec<usize> = reader
             .index
             .iter()
             .enumerate()
@@ -909,45 +914,25 @@ impl<R: Read + Seek> TraceReader<R> {
             .map(|(i, _)| i)
             .collect();
         Ok(StreamRecords {
-            reader: self,
-            chunks,
-            next_chunk: 0,
+            reader,
+            chunks: chunks.into_iter(),
             buf: Vec::new().into_iter(),
-            failed: false,
         })
     }
 }
 
-/// Iterator over one stream's records (see [`TraceReader::stream_records`]).
-#[derive(Debug)]
-pub struct StreamRecords<'a, R: Read + Seek> {
-    reader: &'a mut TraceReader<R>,
-    chunks: Vec<usize>,
-    next_chunk: usize,
-    buf: std::vec::IntoIter<DynInst>,
-    failed: bool,
-}
-
-impl<R: Read + Seek> Iterator for StreamRecords<'_, R> {
+impl<R: Read + Seek, T: DerefMut<Target = TraceReader<R>>> Iterator for StreamRecords<T> {
     type Item = Result<DynInst, TraceFileError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
         loop {
             if let Some(inst) = self.buf.next() {
                 return Some(Ok(inst));
             }
-            if self.next_chunk >= self.chunks.len() {
-                return None;
-            }
-            let i = self.chunks[self.next_chunk];
-            self.next_chunk += 1;
-            match self.reader.read_chunk(i) {
+            match self.reader.read_chunk(self.chunks.next()?) {
                 Ok(v) => self.buf = v.into_iter(),
                 Err(e) => {
-                    self.failed = true;
+                    self.chunks = Vec::new().into_iter();
                     return Some(Err(e));
                 }
             }

@@ -5,11 +5,15 @@
 //! Both directions stream line-by-line / chunk-by-chunk in constant
 //! memory.
 
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Write};
 
-use workloads::trace::{format_inst, read_trace};
+use workloads::trace::{format_inst, parse_line_at};
 
 use crate::container::{TraceFileError, TraceReader, TraceWriter};
+
+/// The text comments that open a stream and carry the meta blob.
+const STREAM_PREFIX: &str = "# stream:";
+const META_PREFIX: &str = "# meta: ";
 
 /// Byte and record counts from a conversion.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -23,58 +27,74 @@ pub struct ConvertStats {
     pub binary_bytes: u64,
 }
 
-/// Reads the text format from `r` and writes one binary stream `name`.
+/// Reads the text format from `r` into `w`.
 ///
-/// The text format carries no stream concept, so the whole input becomes a
-/// single stream. Text parse errors abort the conversion with the
-/// offending line number.
+/// A `# stream: <name>` line opens (or resumes) that stream and a
+/// `# meta: <blob>` line sets the meta, so [`binary_to_text`] output
+/// converts back to the same container. Instructions before any
+/// `# stream:` line go to stream `name`. Text parse errors abort the
+/// conversion with the offending line number.
 pub fn text_to_binary<R: BufRead, W: Write>(
     r: R,
     w: &mut TraceWriter<W>,
     name: &str,
 ) -> Result<ConvertStats, TraceFileError> {
     let mut stats = ConvertStats::default();
-    w.begin_stream(name)?;
-    for item in read_trace(r) {
-        let inst = item?;
-        stats.text_bytes += format_inst(&inst).len() as u64 + 1;
-        w.push(&inst)?;
-        stats.records += 1;
+    let mut in_stream = false;
+    for (i, line) in r.lines().enumerate() {
+        let line = line?;
+        let t = line.trim();
+        if let Some(meta) = line.strip_prefix(META_PREFIX) {
+            w.set_meta(meta);
+        } else if let Some(stream) = t.strip_prefix(STREAM_PREFIX) {
+            w.begin_stream(stream.trim())?;
+            in_stream = true;
+        } else if !t.is_empty() && !t.starts_with('#') {
+            let inst = parse_line_at(t, i + 1)?;
+            if !std::mem::replace(&mut in_stream, true) {
+                w.begin_stream(name)?;
+            }
+            stats.text_bytes += format_inst(&inst).len() as u64 + 1;
+            w.push(&inst)?;
+            stats.records += 1;
+        }
     }
     Ok(stats)
 }
 
-/// Writes every stream of `r` back out as text.
+/// Writes every stream of `r` back out as text: a non-empty meta blob as
+/// one `# meta: <blob>` line, then each stream in id order after a
+/// `# stream: <name>` line. The text parser ignores both comments.
 ///
-/// Streams are emitted in id order, each preceded by a `# stream: <name>`
-/// comment line (ignored by the text parser, so the output reads back as
-/// one concatenated trace).
-pub fn binary_to_text<R: std::io::Read + std::io::Seek, W: Write>(
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] when the meta blob holds a line break,
+/// which a one-line comment cannot carry.
+pub fn binary_to_text<R: io::Read + io::Seek, W: Write>(
     r: &mut TraceReader<R>,
     mut w: W,
 ) -> Result<ConvertStats, TraceFileError> {
     let mut stats = ConvertStats::default();
+    let meta = r.meta();
+    if meta.contains(['\n', '\r']) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "trace meta holds a line break and cannot be written as a one-line comment",
+        )
+        .into());
+    }
+    if !meta.is_empty() {
+        writeln!(w, "{META_PREFIX}{meta}")?;
+    }
     let names: Vec<String> = r.streams().iter().map(|s| s.name.clone()).collect();
     for name in names {
-        writeln!(w, "# stream: {name}")?;
-        // Collect the per-chunk errors eagerly; the iterator borrows the
-        // reader, so errors must be surfaced before the next stream.
-        let mut pending: Result<(), TraceFileError> = Ok(());
+        writeln!(w, "{STREAM_PREFIX} {name}")?;
         for item in r.stream_records(&name)? {
-            match item {
-                Ok(inst) => {
-                    let line = format_inst(&inst);
-                    stats.text_bytes += line.len() as u64 + 1;
-                    writeln!(w, "{line}")?;
-                    stats.records += 1;
-                }
-                Err(e) => {
-                    pending = Err(e);
-                    break;
-                }
-            }
+            let line = format_inst(&item?);
+            stats.text_bytes += line.len() as u64 + 1;
+            writeln!(w, "{line}")?;
+            stats.records += 1;
         }
-        pending?;
     }
     stats.binary_bytes = r.data_end();
     Ok(stats)
@@ -114,6 +134,32 @@ mod tests {
             .collect::<Result<_, _>>()
             .unwrap();
         assert_eq!(parsed, insts);
+    }
+
+    #[test]
+    fn streams_and_meta_round_trip_through_text() {
+        let mut w = TraceWriter::new(Vec::new(), 64).unwrap();
+        for (seed, bench) in [Benchmark::Gcc, Benchmark::Mcf, Benchmark::Twolf]
+            .into_iter()
+            .enumerate()
+        {
+            w.begin_stream(bench.name()).unwrap();
+            for inst in bench.build(seed as u64).take(150) {
+                w.push(&inst).unwrap();
+            }
+        }
+        w.set_meta("{\"schema\":\"pin\",\"experiments\":[\"fig8\"]}");
+        let bytes = w.finish().unwrap();
+
+        let mut text = Vec::new();
+        binary_to_text(
+            &mut TraceReader::new(Cursor::new(&bytes)).unwrap(),
+            &mut text,
+        )
+        .unwrap();
+        let mut w = TraceWriter::new(Vec::new(), 64).unwrap();
+        text_to_binary(Cursor::new(&text), &mut w, "stem").unwrap();
+        assert_eq!(w.finish().unwrap(), bytes);
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! * [`encode_wire_chunk`] / [`decode_wire_chunk`] — one chunk on its
 //!   own, the unit the serve daemon exchanges; a chunk copied out of a
 //!   container ([`TraceReader::read_chunk_raw`]) is a valid wire chunk.
+//! * [`record`] — the one 16-byte record header and bounded reader under
+//!   trace chunks, sweep checkpoint records and serve frames.
 //! * [`convert`] — text ⇄ binary conversion.
 //! * [`FileSource`] — a `workloads::TraceSource` backed by a trace file,
 //!   making captured traces interchangeable with the synthetic models.
@@ -52,6 +54,7 @@ pub mod codec;
 pub mod container;
 pub mod convert;
 pub mod crc32;
+pub mod record;
 mod source;
 pub mod varint;
 

@@ -1,13 +1,11 @@
 //! A file-backed [`TraceSource`]: captured traces drive experiments
 //! exactly like the synthetic models do.
 
-use std::fs::File;
-use std::io::BufReader;
 use std::path::{Path, PathBuf};
 
 use workloads::{Benchmark, DynInst, TraceSource};
 
-use crate::container::{StreamInfo, TraceFileError, TraceReader, VerifyReport};
+use crate::container::{StreamInfo, StreamRecords, TraceFileError, TraceReader, VerifyReport};
 
 /// A trace file opened for replay.
 ///
@@ -75,67 +73,14 @@ impl TraceSource for FileSource {
 
     fn stream(&self, bench: Benchmark) -> Box<dyn Iterator<Item = DynInst> + '_> {
         // Each stream gets its own reader so concurrent iterators never
-        // fight over one seek position. Open/lookup failures yield an
-        // empty stream: the file was fully verified at `open`, so these
-        // only fire if the file was removed or rewritten since — and
-        // callers gate on `has_benchmark` for the legitimately-absent
-        // case.
-        let reader = match TraceReader::open(&self.path) {
-            Ok(r) => r,
-            Err(_) => return Box::new(std::iter::empty()),
-        };
-        match FileStream::new(reader, bench.name()) {
-            Some(s) => Box::new(s),
-            None => Box::new(std::iter::empty()),
-        }
-    }
-}
-
-struct FileStream {
-    reader: TraceReader<BufReader<File>>,
-    chunks: Vec<usize>,
-    next_chunk: usize,
-    buf: std::vec::IntoIter<DynInst>,
-}
-
-impl FileStream {
-    fn new(reader: TraceReader<BufReader<File>>, name: &str) -> Option<Self> {
-        let sid = reader.stream_id(name)?;
-        let chunks = reader
-            .chunks()
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.stream_id == sid)
-            .map(|(i, _)| i)
-            .collect();
-        Some(FileStream {
-            reader,
-            chunks,
-            next_chunk: 0,
-            buf: Vec::new().into_iter(),
-        })
-    }
-}
-
-impl Iterator for FileStream {
-    type Item = DynInst;
-
-    fn next(&mut self) -> Option<DynInst> {
-        loop {
-            if let Some(inst) = self.buf.next() {
-                return Some(inst);
-            }
-            if self.next_chunk >= self.chunks.len() {
-                return None;
-            }
-            let i = self.chunks[self.next_chunk];
-            self.next_chunk += 1;
-            match self.reader.read_chunk(i) {
-                Ok(v) => self.buf = v.into_iter(),
-                // Unreachable after a verified open unless the file
-                // changed on disk; end the stream instead of panicking.
-                Err(_) => return None,
-            }
+        // fight over one seek position. Failures end the stream: the file
+        // was fully verified at `open`, so they only fire if the file was
+        // removed or rewritten since — and callers gate on `has_benchmark`
+        // for the legitimately-absent case.
+        let reader = TraceReader::open(&self.path);
+        match reader.and_then(|r| StreamRecords::new(Box::new(r), bench.name())) {
+            Ok(records) => Box::new(records.map_while(Result::ok)),
+            Err(_) => Box::new(std::iter::empty()),
         }
     }
 }

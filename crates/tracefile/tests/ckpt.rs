@@ -7,7 +7,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use tracefile::ckpt::{CKPT_HEADER_LEN, CKPT_RECORD_HEADER_LEN};
-use tracefile::{read_ckpt, CkptDamage, CkptError, CkptWriter};
+use tracefile::{read_ckpt, CkptDamage, CkptError, CkptRecord, CkptWriter};
 
 fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -173,6 +173,65 @@ fn corruption_reports_cell_and_offset() {
             assert_eq!(offset, rec1_start as u64, "positions the damaged frame");
         }
         other => panic!("expected Corrupt, got {other:?}"),
+    }
+    fs::remove_file(&path).ok();
+}
+
+#[test]
+fn every_prefix_and_bit_flip_keeps_records_exact() {
+    let path = tmp("prefix-bits");
+    let originals = [(0, 0, &b"{\"cell\":0}"[..]), (4, 1, b""), (9, 2, b"ninth")];
+    let mut w = CkptWriter::create(&path, HASH).unwrap();
+    for (cell, worker, payload) in originals {
+        w.append(cell, worker, payload).unwrap();
+    }
+    drop(w);
+    let bytes = fs::read(&path).unwrap();
+    let originals: Vec<CkptRecord> = originals
+        .iter()
+        .map(|&(cell, worker, payload)| CkptRecord {
+            cell,
+            worker,
+            payload: payload.to_vec(),
+        })
+        .collect();
+    let header = CKPT_HEADER_LEN as usize;
+    let mut starts = vec![header];
+    for r in &originals {
+        starts.push(starts.last().unwrap() + CKPT_RECORD_HEADER_LEN as usize + r.payload.len());
+    }
+    assert_eq!(*starts.last().unwrap(), bytes.len());
+
+    for cut in header..=bytes.len() {
+        fs::write(&path, &bytes[..cut]).unwrap();
+        let read = read_ckpt(&path, HASH).unwrap();
+        let whole = starts.iter().filter(|&&s| s <= cut).count() - 1;
+        assert_eq!(read.records[..], originals[..whole], "cut {cut}");
+        match read.damage {
+            None => assert!(starts.contains(&cut), "cut {cut}"),
+            Some(CkptDamage::TornTail { offset }) => {
+                assert_eq!(offset as usize, starts[read.records.len()], "cut {cut}");
+            }
+            Some(other) => panic!("cut {cut} misread as {other}"),
+        }
+    }
+
+    for bit in header * 8..bytes.len() * 8 {
+        let pos = bit / 8;
+        let mut bad = bytes.clone();
+        bad[pos] ^= 1 << (bit % 8);
+        fs::write(&path, &bad).unwrap();
+        let read = read_ckpt(&path, HASH).unwrap();
+        let hit = starts.iter().rposition(|&s| s <= pos).unwrap();
+        assert_eq!(read.records[..], originals[..hit], "bit {bit}");
+        assert!(
+            matches!(
+                read.damage,
+                Some(CkptDamage::Corrupt { .. } | CkptDamage::TornTail { .. })
+            ),
+            "bit {bit}: {:?}",
+            read.damage
+        );
     }
     fs::remove_file(&path).ok();
 }
