@@ -66,7 +66,7 @@ pub struct GridSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GridCell {
     /// The cell's index in canonical expansion order — its identity in
-    /// checkpoints and claims.
+    /// checkpoints.
     pub id: u32,
     /// Queue order.
     pub order: usize,
@@ -243,9 +243,6 @@ impl GridSpec {
     }
 
     /// Re-parses a canonical form written by [`GridSpec::canonical`].
-    /// This is how worker processes learn the grid: they read
-    /// `grid.spec`, never the user's original spec, so parent and worker
-    /// can never disagree about defaults.
     pub fn from_canonical(text: &str) -> Result<GridSpec, String> {
         let mut lines = text.lines();
         let schema = lines.next().unwrap_or_default();

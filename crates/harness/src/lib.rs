@@ -66,8 +66,8 @@ pub use sched::{
     default_jobs, run_dynamic, run_plans_live, Cell, DynDone, ExperimentOutput, ExperimentPlan,
 };
 pub use sweep::{
-    load_completed, pareto_frontier, prepare_dir, render_dry_run, render_sweep, run_sweep_worker,
-    sweep_parent, CellCounts, SWEEP_SCHEMA,
+    load_completed, pareto_frontier, prepare_dir, render_dry_run, render_sweep, sweep_parent,
+    CellCounts, SWEEP_SCHEMA,
 };
 
 /// Run-size parameters shared by all experiments.

@@ -21,7 +21,7 @@
 //! the input's magic bytes); `export-metrics <experiment>...` runs
 //! experiments and prints the merged registry in Prometheus text format;
 //! `bench-diff <old.json> <new.json>` compares two run reports and fails
-//! past a regression threshold; `serve` runs the `gdiff-serve/v1`
+//! past a regression threshold; `serve` runs the `gdiff-serve/v2`
 //! multi-session prediction daemon (Unix socket, `--stdio`, or
 //! `--selftest`); `serve-client` streams a trace or synthesized benchmark
 //! to a running daemon and prints the returned report; `logs` reads and
@@ -87,15 +87,9 @@ struct Opts {
     json_lines: bool,
     grid: Option<String>,
     ckpt: Option<String>,
-    /// sweep `--workers`: worker processes.
-    workers: usize,
     pareto: bool,
     dry_run: bool,
     fresh: bool,
-    /// sweep-worker `--worker K --workers W`: this worker's shard and the
-    /// shard count.
-    worker: Option<u32>,
-    shards: Option<u32>,
 }
 
 impl Default for Opts {
@@ -118,12 +112,9 @@ impl Default for Opts {
             json_lines: false,
             grid: None,
             ckpt: None,
-            workers: 1,
             pareto: false,
             dry_run: false,
             fresh: false,
-            worker: None,
-            shards: None,
         }
     }
 }
@@ -247,9 +238,6 @@ const SWEEP: Command<Opts> = Command {
     flags: &[
         Flag::text(&["--grid"], "a spec or @FILE", |o, v| o.grid = Some(v)),
         CKPT,
-        Flag::parse(&["--workers"], "a process count", |o, f, v| {
-            at_least_1(f, v, "worker count must be at least 1").map(|n| o.workers = n)
-        }),
         JOBS,
         Flag::switch(&["--pareto"], |o| o.pareto = true),
         Flag::switch(&["--dry-run"], |o| o.dry_run = true),
@@ -262,21 +250,6 @@ const SWEEP: Command<Opts> = Command {
         LIVE_METRICS,
         LIVE_INTERVAL_MS,
         TIMELINE,
-    ],
-};
-
-const SWEEP_WORKER: Command<Opts> = Command {
-    name: "sweep-worker",
-    positionals: Positionals::None,
-    flags: &[
-        CKPT,
-        Flag::parse(&["--worker"], "a shard index", |o, f, v| {
-            number(f, v).map(|n| o.worker = Some(n))
-        }),
-        Flag::parse(&["--workers"], "a shard count", |o, f, v| {
-            number(f, v).map(|n| o.shards = Some(n))
-        }),
-        JOBS,
     ],
 };
 
@@ -295,7 +268,6 @@ const SUBCOMMANDS: &[(&str, Main)] = &[
     ("serve-client", main_serve_client),
     ("logs", main_logs),
     ("sweep", main_sweep),
-    ("sweep-worker", main_sweep_worker),
 ];
 
 fn main() {
@@ -769,11 +741,11 @@ fn main_logs(args: Vec<String>) -> Result<(), Usage> {
     Ok(())
 }
 
-/// `sweep --grid SPEC|@FILE --ckpt DIR [--workers N] [--jobs N] ...`:
-/// expand a declarative parameter grid and run every cell across worker
-/// processes, checkpointing each finished cell so an interrupted sweep
-/// resumes where it left off. The merged report is byte-identical for
-/// every worker/thread count and any interrupt/resume split.
+/// `sweep --grid SPEC|@FILE --ckpt DIR [--jobs N] ...`: expand a
+/// declarative parameter grid and run every cell on `--jobs` threads,
+/// checkpointing each finished cell so an interrupted sweep resumes where
+/// it left off. The merged report is byte-identical for every thread
+/// count and any interrupt/resume split.
 fn main_sweep(args: Vec<String>) -> Result<(), Usage> {
     let (o, _) = SWEEP.parse(args, Opts::default())?;
     let grid_arg = o.grid.clone().ok_or("sweep needs --grid")?;
@@ -793,24 +765,20 @@ fn main_sweep(args: Vec<String>) -> Result<(), Usage> {
     }
     let ckpt = o.ckpt.clone().ok_or("sweep needs --ckpt (or --dry-run)")?;
 
+    let jobs = o.jobs.unwrap_or_else(default_jobs);
     let taps = Taps::start(&o.taps).unwrap_or_else(|e| fail(e));
     obs::log::info(
         "harness.sweep",
         "sweep started",
         &[
             ("cells", obs::log::Value::from(grid.cell_count())),
-            ("workers", obs::log::Value::from(o.workers)),
+            ("jobs", obs::log::Value::from(jobs)),
             ("seed", obs::log::Value::from(o.seed)),
         ],
     );
     let dir = std::path::Path::new(&ckpt);
     harness::prepare_dir(dir, &grid, o.fresh).unwrap_or_else(|e| fail(e));
-    // Each worker process gets an even share of the machine unless --jobs
-    // pins its thread count explicitly.
-    let jobs = o
-        .jobs
-        .unwrap_or_else(|| (default_jobs() / o.workers).max(1));
-    let completed = harness::sweep_parent(dir, &grid, o.workers, jobs, taps.live())
+    let completed = harness::sweep_parent(dir, &grid, jobs, taps.live())
         .unwrap_or_else(|e| fail(format!("sweep failed: {e}")));
 
     let (text, report) = harness::render_sweep(&grid, &completed, o.pareto, o.scale);
@@ -824,21 +792,6 @@ fn main_sweep(args: Vec<String>) -> Result<(), Usage> {
         &[("cells", obs::log::Value::from(completed.len()))],
     );
     taps.finish().unwrap_or_else(|e| fail(e));
-    Ok(())
-}
-
-/// Hidden child-process entry point: `sweep-worker --ckpt DIR --worker K
-/// --workers W --jobs J`. Spawned by `sweep`; everything it needs is in
-/// the checkpoint directory. Exits when its parent dies (stdin EOF).
-fn main_sweep_worker(args: Vec<String>) -> Result<(), Usage> {
-    let (o, _) = SWEEP_WORKER.parse(args, Opts::default())?;
-    let (Some(ckpt), Some(worker), Some(workers)) = (o.ckpt, o.worker, o.shards) else {
-        return Err("sweep-worker needs --ckpt, --worker, and --workers".into());
-    };
-    harness::sweep::spawn_orphan_watchdog();
-    let jobs = o.jobs.unwrap_or(1);
-    harness::run_sweep_worker(std::path::Path::new(&ckpt), worker, workers, jobs)
-        .unwrap_or_else(|e| fail(format!("sweep worker {worker}: {e}")));
     Ok(())
 }
 
@@ -896,7 +849,7 @@ fn print_usage() {
          \x20              [--status] [--metrics] [--health] [--shutdown]\n\
          \x20      harness logs FILE [--level L] [--target PREFIX] [--follow] [--json]\n\
          \x20      harness sweep --grid SPEC|@FILE (--ckpt DIR | --dry-run)\n\
-         \x20              [--workers N] [--jobs N|-jN] [--pareto] [--out PATH|-]\n\
+         \x20              [--jobs N|-jN] [--pareto] [--out PATH|-]\n\
          \x20              [--fresh] [--scale F] [--seed N] [--log PATH] [--log-level L]\n\
          \x20              [--live-metrics PATH|-] [--live-interval-ms N] [--timeline PATH]\n\
          experiments: fig1 fig8 fig9 fig10 fig12 fig13 fig16 fig18a fig18b\n\
@@ -927,7 +880,7 @@ fn print_usage() {
          bench-diff compares two --json run reports' experiments sections\n\
          and exits 3 when any metric moved more than --threshold percent\n\
          (default 5; --full lists unchanged metrics too);\n\
-         serve runs the gdiff-serve/v1 prediction daemon on a Unix socket\n\
+         serve runs the gdiff-serve/v2 prediction daemon on a Unix socket\n\
          (--stdio: one session over stdin/stdout; --selftest: record,\n\
          stream, and diff every benchmark against a one-shot run);\n\
          serve-client streams a recorded trace (--trace, one session per\n\
@@ -945,14 +898,12 @@ fn print_usage() {
          record; --follow: keep polling, surviving rotation);\n\
          sweep expands a declarative parameter grid (clauses like\n\
          'order=4,8;depth=1024,8192;threshold=0,4;delay=0,2;bench=all')\n\
-         into one cell per (config x benchmark) and runs them across\n\
-         --workers processes, each on --jobs threads, coordinating\n\
-         through atomic cell claims in the --ckpt directory with\n\
-         work stealing from stragglers' shard tails; every finished\n\
-         cell is checkpointed (CRC-framed), so a killed sweep re-run\n\
+         into one cell per (config x benchmark) and runs them on\n\
+         --jobs threads; every finished cell is checkpointed\n\
+         (CRC-framed) in the --ckpt directory, so a killed sweep re-run\n\
          with the same --ckpt resumes, skipping completed cells; the\n\
-         merged tables/report are byte-identical for every worker and\n\
-         thread count and any interrupt/resume split; --pareto adds the\n\
+         merged tables/report are byte-identical for every thread\n\
+         count and any interrupt/resume split; --pareto adds the\n\
          (gated accuracy x coverage vs table bits) frontier; --dry-run\n\
          prints the expansion without running; --fresh discards\n\
          checkpoints from a previous grid"
@@ -1004,7 +955,6 @@ mod tests {
             &BENCH_DIFF,
             &LOGS,
             &SWEEP,
-            &SWEEP_WORKER,
         ] {
             check_table(cmd, Opts::default);
         }
@@ -1014,7 +964,7 @@ mod tests {
 
     #[test]
     fn jobs_is_one_definition_on_every_subcommand_that_takes_it() {
-        for cmd in [&RUN, &EXPLAIN, &EXPORT_METRICS, &SWEEP, &SWEEP_WORKER] {
+        for cmd in [&RUN, &EXPLAIN, &EXPORT_METRICS, &SWEEP] {
             for args in [&["-j3"][..], &["-j", "3"], &["--jobs", "3"]] {
                 let mut owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
                 if let Positionals::Exactly(n, _) = cmd.positionals {

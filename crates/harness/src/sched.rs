@@ -277,9 +277,8 @@ impl std::fmt::Debug for DynDone {
 /// Unlike [`run_plans_live`], the work list is not known up front: each idle
 /// thread calls `next(thread_index)` — under a lock, so claim sources may
 /// touch shared state freely — and executes whatever cell comes back.
-/// This is the in-process half of the sweep engine's work-stealing: the
-/// claim source hands out disk-claimed grid cells, and a `None` means the
-/// whole sweep (not just this process's shard) is drained.
+/// The sweep engine's claim source hands out the grid's missing cells;
+/// a `None` means the sweep is drained.
 ///
 /// `on_done` runs on the calling thread in completion order. Callers that
 /// need deterministic output must NOT derive it from that order — sweep
@@ -337,8 +336,7 @@ pub fn run_dynamic<'a>(
 const CELL_MS_BUCKETS: usize = 512;
 
 /// Feeds one finished cell into the live-telemetry registry. Wall time is
-/// attributed to the *executing* worker (`sched.worker.<w>.cell_ms`) —
-/// for a stolen cell that is the stealer, never the planned owner.
+/// attributed to the *executing* worker (`sched.worker.<w>.cell_ms`).
 fn publish_live(live: &SharedRegistry, done: &DynDone) {
     live.merge(&done.registry);
     let ms = done.busy.as_millis() as u64;

@@ -1,20 +1,16 @@
-//! The sweep engine: resumable, multi-process, work-stealing grid runs.
+//! The sweep engine: resumable grid runs on the in-process thread pool.
 //!
 //! `harness sweep` expands a [`GridSpec`] into thousands of (config,
-//! benchmark) cells and fans them across worker *processes*, each running
-//! cells on its own thread pool ([`crate::sched::run_dynamic`]). The
-//! processes coordinate through the checkpoint directory alone:
+//! benchmark) cells and runs them on `--jobs` threads
+//! ([`crate::sched::run_dynamic`]): each thread claims the next missing
+//! cell, and the calling thread checkpoints every result as it arrives.
+//! The checkpoint directory holds:
 //!
 //! * `grid.spec` — the grid's canonical form; its CRC32 is the grid hash
 //!   every segment carries, so a resume against an edited grid is refused
 //!   instead of silently remapping cell ids;
-//! * `claims/c<id>` — atomic cell claims (`File::create_new`): whichever
-//!   process creates the file owns the cell. Workers claim their own
-//!   contiguous shard front-to-back, then **steal from other shards
-//!   tail-first**, so a straggler loses the work it hasn't started, not
-//!   the cell it is computing;
-//! * `worker-<k>.ckpt` — one [`tracefile::ckpt`] segment per worker,
-//!   one CRC-framed record per completed cell, flushed per cell.
+//! * `sweep.ckpt` — one [`tracefile::ckpt`] segment, one CRC-framed
+//!   record per completed cell, flushed per cell.
 //!
 //! A killed sweep resumes by reading the segments back: completed cells
 //! are skipped, damaged records are reported (one structured
@@ -27,22 +23,20 @@
 //!
 //! Determinism: the final tables, the `--out` report, and the merged
 //! metrics registry are a pure function of the (complete) cell-counts
-//! map, assembled in grid order via [`Registry::merge`]. Worker count,
-//! thread count, steal pattern, and interrupt/resume splits can only
-//! change *which process* computes a cell, never the bytes that come
-//! out. Wall-clock and per-worker attribution go to stderr, the journal,
-//! the timeline, and live metrics — never into the deterministic
-//! surfaces.
+//! map, assembled in grid order via [`Registry::merge`]. Thread count,
+//! claim order, and interrupt/resume splits can only change *which
+//! thread* computes a cell, never the bytes that come out. Wall-clock and
+//! per-thread attribution go to the checkpoint records, the timeline, and
+//! live metrics — never into the deterministic surfaces.
 
 use std::collections::BTreeMap;
-use std::io::Read as _;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use gdiff::GDiffPredictor;
 use obs::{JsonValue, Registry, SharedRegistry};
 use predictors::{Capacity, ConfidenceConfig, ConfidenceTable};
-use tracefile::ckpt::{count_ckpt_records, read_ckpt, CkptDamage, CkptRecord, CkptWriter};
+use tracefile::ckpt::{read_ckpt, CkptDamage, CkptRecord, CkptWriter};
 use workloads::SyntheticSource;
 
 use crate::grid::{GridCell, GridSpec};
@@ -54,12 +48,10 @@ use crate::RunParams;
 /// Schema tag of the `--out` report.
 pub const SWEEP_SCHEMA: &str = "gdiff-sweep-report/v1";
 
-/// Worker id recorded for cells the parent computed inline (straggler
-/// recovery and `--workers 1`): one past the last child worker.
-const MAIN_WORKER: u32 = u32::MAX;
-
-/// How often the parent polls children for progress.
-const POLL_INTERVAL: Duration = Duration::from_millis(200);
+/// The checkpoint segment a sweep appends to. Resume reads every `*.ckpt`
+/// segment in the directory, so older layouts with one segment per worker
+/// process (`worker-<k>.ckpt`, `worker-main.ckpt`) resume too.
+const SEGMENT: &str = "sweep.ckpt";
 
 // ---------------------------------------------------------------------
 // Cell results
@@ -231,20 +223,8 @@ pub fn run_cell_counts(cell: GridCell, params: RunParams) -> CellCounts {
 // Checkpoint directory
 // ---------------------------------------------------------------------
 
-fn claims_dir(dir: &Path) -> PathBuf {
-    dir.join("claims")
-}
-
 fn spec_path(dir: &Path) -> PathBuf {
     dir.join("grid.spec")
-}
-
-fn segment_path(dir: &Path, worker: u32) -> PathBuf {
-    if worker == MAIN_WORKER {
-        dir.join("worker-main.ckpt")
-    } else {
-        dir.join(format!("worker-{worker}.ckpt"))
-    }
 }
 
 /// All checkpoint segments in the directory, sorted by file name so scan
@@ -265,9 +245,6 @@ fn segments(dir: &Path) -> Vec<PathBuf> {
 ///
 /// Creates it if missing and pins the grid: an existing `grid.spec` that
 /// differs from this grid is an error unless `fresh` wipes the directory.
-/// Claims are cleared unconditionally — they only mean something while
-/// worker processes are alive, and a stale claim from a killed run would
-/// orphan its cell forever.
 pub fn prepare_dir(dir: &Path, grid: &GridSpec, fresh: bool) -> Result<(), String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let spec = spec_path(dir);
@@ -288,9 +265,6 @@ pub fn prepare_dir(dir: &Path, grid: &GridSpec, fresh: bool) -> Result<(), Strin
         }
         std::fs::remove_file(&spec).ok();
     }
-    std::fs::remove_dir_all(claims_dir(dir)).ok();
-    std::fs::create_dir_all(claims_dir(dir))
-        .map_err(|e| format!("cannot create claims dir: {e}"))?;
     std::fs::write(&spec, canonical)
         .map_err(|e| format!("cannot write {}: {e}", spec.display()))?;
     Ok(())
@@ -302,8 +276,7 @@ pub fn prepare_dir(dir: &Path, grid: &GridSpec, fresh: bool) -> Result<(), Strin
 /// logged (one structured [`obs::log::error`] per incident, mirrored to
 /// stderr) and its cell is simply recomputed. With `repair` set, a
 /// damaged segment is rewritten to its intact prefix so that reopening
-/// it for append cannot hide new records behind torn bytes — only the
-/// single coordinating parent may do this; workers read, never repair.
+/// it for append cannot hide new records behind torn bytes.
 pub fn load_completed(dir: &Path, grid: &GridSpec, repair: bool) -> BTreeMap<u32, CellCounts> {
     let hash = grid.hash();
     let n = grid.cell_count();
@@ -398,285 +371,79 @@ fn rewrite_segment(seg: &Path, hash: u32, records: &[CkptRecord]) -> std::io::Re
 }
 
 // ---------------------------------------------------------------------
-// Worker process
+// Running the sweep
 // ---------------------------------------------------------------------
-
-/// The candidate claim order for worker `k` of `w`: its own contiguous
-/// shard front-to-back, then every other shard back-to-front (nearest
-/// shard first). Stealing from the tail means the victim — which works
-/// its shard front-to-back — loses the cells it would reach *last*.
-fn claim_order(n: u32, k: u32, w: u32) -> Vec<u32> {
-    let shard = |i: u32| -> std::ops::Range<u32> {
-        let w64 = w as u64;
-        ((i as u64) * (n as u64) / w64) as u32..(((i as u64) + 1) * (n as u64) / w64) as u32
-    };
-    let mut order: Vec<u32> = shard(k).collect();
-    for d in 1..w {
-        order.extend(shard((k + d) % w).rev());
-    }
-    order
-}
-
-/// Runs one worker process's share of the sweep: claim cells from the
-/// checkpoint directory (own shard first, then steal), execute them on
-/// `jobs` threads, and append one checkpoint record per finished cell.
-///
-/// The worker learns everything from the directory — `grid.spec` is the
-/// single source of truth, so a worker can never disagree with its
-/// parent about what cell 17 means.
-pub fn run_sweep_worker(dir: &Path, worker: u32, workers: u32, jobs: usize) -> Result<(), String> {
-    let spec = std::fs::read_to_string(spec_path(dir))
-        .map_err(|e| format!("cannot read {}: {e}", spec_path(dir).display()))?;
-    let grid = GridSpec::from_canonical(&spec)?;
-    let completed = load_completed(dir, &grid, false);
-    let n = grid.cell_count();
-    let mut writer = CkptWriter::open_append(&segment_path(dir, worker), grid.hash())
-        .map_err(|e| format!("cannot open checkpoint segment: {e}"))?;
-
-    let order = claim_order(n, worker, workers.max(1));
-    let mut candidates = order.into_iter();
-    let claims = claims_dir(dir);
-    let params = grid.params;
-    let mut failed = 0u32;
-    let next = move |_thread: usize| -> Option<(u64, sched::Cell<'_>)> {
-        for id in candidates.by_ref() {
-            if completed.contains_key(&id) {
-                continue;
-            }
-            // Atomic claim: exactly one process wins the create.
-            match std::fs::File::create_new(claims.join(format!("c{id}"))) {
-                Ok(_) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
-                Err(_) => continue,
-            }
-            let cell = grid.cell(id);
-            return Some((
-                id as u64,
-                sched::Cell::new(
-                    format!("sweep.{}", cell.label()),
-                    move |_reg: &mut Registry| run_cell_counts(cell, params),
-                ),
-            ));
-        }
-        None
-    };
-    let ran = sched::run_dynamic(next, jobs, None, |done| {
-        let counts = done
-            .out
-            .downcast::<CellCounts>()
-            .expect("sweep cells return CellCounts");
-        if let Err(e) = writer.append(done.id as u32, worker, &counts.to_payload()) {
-            eprintln!("warning: sweep worker {worker}: checkpoint append failed: {e}");
-            failed += 1;
-        }
-        obs::log::debug(
-            "harness.sweep",
-            "cell checkpointed",
-            &[
-                ("cell", obs::log::Value::from(done.id)),
-                ("worker", obs::log::Value::from(worker as u64)),
-                ("thread", obs::log::Value::from(done.worker)),
-                (
-                    "busy_ms",
-                    obs::log::Value::from(done.busy.as_millis() as u64),
-                ),
-            ],
-        );
-    });
-    eprintln!("sweep worker {worker}: {ran} cells");
-    if failed > 0 {
-        return Err(format!("{failed} checkpoint appends failed"));
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Parent orchestration
-// ---------------------------------------------------------------------
-
-/// How the parent reaches the `sweep-worker` subcommand of its own binary.
-fn self_exe() -> Result<PathBuf, String> {
-    std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))
-}
 
 /// Runs the whole sweep to completion and returns the full cell → counts
 /// map (resumed + computed).
 ///
-/// With `workers <= 1` every remaining cell runs inline on `jobs`
-/// threads. Otherwise `workers` child processes are spawned and the
-/// parent polls their segments for live progress; any cells left behind
-/// by crashed or killed children are computed inline afterwards, so the
-/// sweep completes even if every child dies.
+/// Completed cells are read back (damaged segments repaired), then every
+/// missing cell runs on `jobs` threads. The calling thread appends each
+/// result to `sweep.ckpt`, recording the executing thread's index as the
+/// record's `worker`.
 pub fn sweep_parent(
     dir: &Path,
     grid: &GridSpec,
-    workers: usize,
     jobs: usize,
     live: Option<&SharedRegistry>,
 ) -> Result<BTreeMap<u32, CellCounts>, String> {
     let n = grid.cell_count();
     let mut completed = load_completed(dir, grid, true);
-    let resumed = completed.len();
-    if resumed > 0 {
-        eprintln!("sweep: resuming — {resumed} of {n} cells already checkpointed");
-    }
-    publish_progress(live, n, completed.len() as u64, 0);
-
-    if completed.len() < n as usize && workers > 1 {
-        run_children(dir, workers, jobs, live, n)?;
-        completed = load_completed(dir, grid, true);
-    }
-
-    // Inline pass: the whole sweep at --workers 1, or straggler recovery
-    // after children exit. Claims are irrelevant here — no other process
-    // is alive — so it simply takes every cell still missing.
-    if completed.len() < n as usize {
-        let missing: Vec<u32> = (0..n).filter(|id| !completed.contains_key(id)).collect();
-        if workers > 1 {
-            eprintln!(
-                "sweep: {} cells left behind by workers; computing inline",
-                missing.len()
-            );
-        }
-        let mut writer = CkptWriter::open_append(&segment_path(dir, MAIN_WORKER), grid.hash())
-            .map_err(|e| format!("cannot open checkpoint segment: {e}"))?;
-        let params = grid.params;
-        let mut queue = missing.into_iter();
-        let mut done_count = completed.len() as u64;
-        let mut append_err = None;
-        sched::run_dynamic(
-            move |_thread| {
-                let id = queue.next()?;
-                let cell = grid.cell(id);
-                Some((
-                    id as u64,
-                    sched::Cell::new(
-                        format!("sweep.{}", cell.label()),
-                        move |_reg: &mut Registry| run_cell_counts(cell, params),
-                    ),
-                ))
-            },
-            jobs,
-            live,
-            |done| {
-                let counts = done
-                    .out
-                    .downcast::<CellCounts>()
-                    .expect("sweep cells return CellCounts");
-                if let Err(e) = writer.append(done.id as u32, MAIN_WORKER, &counts.to_payload()) {
-                    append_err.get_or_insert_with(|| format!("checkpoint append failed: {e}"));
-                }
-                obs::span::record(
-                    format!("cell.sweep.{}", grid.cell(done.id as u32).label()),
-                    done.busy,
-                );
-                completed.insert(done.id as u32, *counts);
-                done_count += 1;
-                publish_progress(live, n, done_count, 0);
-            },
-        );
-        if let Some(e) = append_err {
-            return Err(e);
-        }
-    }
-
-    if completed.len() != n as usize {
-        return Err(format!(
-            "sweep incomplete: {} of {n} cells finished",
+    if !completed.is_empty() {
+        eprintln!(
+            "sweep: resuming — {} of {n} cells already checkpointed",
             completed.len()
-        ));
-    }
-    publish_progress(live, n, n as u64, 0);
-    Ok(completed)
-}
-
-/// Spawns the child workers and polls their checkpoint segments until
-/// every child exits, feeding progress to the live registry and journal.
-fn run_children(
-    dir: &Path,
-    workers: usize,
-    jobs: usize,
-    live: Option<&SharedRegistry>,
-    n: u32,
-) -> Result<(), String> {
-    let exe = self_exe()?;
-    let mut children = Vec::with_capacity(workers);
-    for k in 0..workers {
-        let child = std::process::Command::new(&exe)
-            .arg("sweep-worker")
-            .arg("--ckpt")
-            .arg(dir)
-            .arg("--worker")
-            .arg(k.to_string())
-            .arg("--workers")
-            .arg(workers.to_string())
-            .arg("--jobs")
-            .arg(jobs.to_string())
-            // The pipe is the child's dead-parent detector: the parent
-            // never writes, and when it dies (even SIGKILL) the pipe
-            // closes and the child's stdin watchdog exits the process —
-            // no orphan keeps appending to the segments.
-            .stdin(std::process::Stdio::piped())
-            .stdout(std::process::Stdio::null())
-            .spawn()
-            .map_err(|e| format!("cannot spawn sweep worker {k}: {e}"))?;
-        children.push((k, child));
-        obs::log::info(
-            "harness.sweep",
-            "sweep worker spawned",
-            &[("worker", obs::log::Value::from(k))],
         );
     }
-
-    let mut alive = children.len();
-    while alive > 0 {
-        std::thread::sleep(POLL_INTERVAL);
-        alive = 0;
-        for (k, child) in &mut children {
-            match child.try_wait() {
-                Ok(None) => alive += 1,
-                Ok(Some(status)) if status.success() => {}
-                Ok(Some(status)) => {
-                    eprintln!("warning: sweep worker {k} exited with {status}");
-                }
-                Err(e) => {
-                    eprintln!("warning: sweep worker {k}: {e}");
-                }
+    let mut writer = CkptWriter::open_append(&dir.join(SEGMENT), grid.hash())
+        .map_err(|e| format!("cannot open checkpoint segment: {e}"))?;
+    let params = grid.params;
+    let mut missing = (0..n)
+        .filter(|id| !completed.contains_key(id))
+        .collect::<Vec<u32>>()
+        .into_iter();
+    // Cells checkpointed, and cells a thread has claimed but the calling
+    // thread has not yet checkpointed (the `claimed` progress state).
+    let checkpointed = AtomicU64::new(completed.len() as u64);
+    let claimed = AtomicU64::new(0);
+    publish_progress(live, n, completed.len() as u64, 0);
+    let mut append_err = None;
+    sched::run_dynamic(
+        |_thread| {
+            let id = missing.next()?;
+            let in_flight = claimed.fetch_add(1, Ordering::Relaxed) + 1;
+            publish_progress(live, n, checkpointed.load(Ordering::Relaxed), in_flight);
+            let cell = grid.cell(id);
+            Some((
+                id as u64,
+                sched::Cell::new(
+                    format!("sweep.{}", cell.label()),
+                    move |_reg: &mut Registry| run_cell_counts(cell, params),
+                ),
+            ))
+        },
+        jobs,
+        live,
+        |done| {
+            let counts = done
+                .out
+                .downcast::<CellCounts>()
+                .expect("sweep cells return CellCounts");
+            let id = done.id as u32;
+            if let Err(e) = writer.append(id, done.worker as u32, &counts.to_payload()) {
+                append_err.get_or_insert_with(|| format!("checkpoint append failed: {e}"));
             }
-        }
-        let done: u64 = (0..workers)
-            .map(|k| count_ckpt_records(&segment_path(dir, k as u32)))
-            .sum::<u64>()
-            + count_ckpt_records(&segment_path(dir, MAIN_WORKER));
-        let claimed = std::fs::read_dir(claims_dir(dir))
-            .map(|d| d.flatten().count() as u64)
-            .unwrap_or(0);
-        publish_progress(live, n, done, claimed.saturating_sub(done));
-        if let Some(live) = live {
-            live.with(|r| {
-                for k in 0..workers {
-                    let g = r.gauge(&format!("sweep.worker.{k}.cells"));
-                    r.set_gauge(g, count_ckpt_records(&segment_path(dir, k as u32)) as f64);
-                }
-            });
-        }
-        if obs::timeline::enabled() {
-            obs::timeline::instant("sweep.progress", "sweep");
-        }
+            obs::span::record(format!("cell.sweep.{}", grid.cell(id).label()), done.busy);
+            completed.insert(id, *counts);
+            let in_flight = claimed.fetch_sub(1, Ordering::Relaxed) - 1;
+            let finished = checkpointed.fetch_add(1, Ordering::Relaxed) + 1;
+            publish_progress(live, n, finished, in_flight);
+        },
+    );
+    match append_err {
+        Some(e) => Err(e),
+        None => Ok(completed),
     }
-    for (k, mut child) in children {
-        if let Ok(Some(status)) = child.try_wait() {
-            obs::log::info(
-                "harness.sweep",
-                "sweep worker exited",
-                &[
-                    ("worker", obs::log::Value::from(k)),
-                    ("ok", obs::log::Value::from(status.success())),
-                ],
-            );
-        }
-    }
-    Ok(())
 }
 
 /// Live `sweep.cells.{done,claimed,pending}` gauges — the
@@ -923,26 +690,6 @@ pub fn render_dry_run(grid: &GridSpec) -> String {
     )
 }
 
-/// The child-side dead-parent watchdog: blocks a thread on stdin and
-/// exits the whole process at EOF. The parent holds the write end and
-/// never writes, so EOF means the parent is gone — however it died.
-pub fn spawn_orphan_watchdog() {
-    std::thread::spawn(|| {
-        let mut buf = [0u8; 64];
-        let mut stdin = std::io::stdin();
-        loop {
-            match stdin.read(&mut buf) {
-                Ok(0) => break,
-                Ok(_) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => break,
-            }
-        }
-        eprintln!("sweep worker: parent gone; exiting");
-        std::process::exit(3);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -971,31 +718,30 @@ mod tests {
     }
 
     #[test]
-    fn claim_order_covers_every_cell_and_steals_from_tails() {
-        let n = 103u32;
-        let w = 4u32;
-        for k in 0..w {
-            let order = claim_order(n, k, w);
-            assert_eq!(order.len(), n as usize, "worker {k} sees every cell");
-            let mut sorted = order.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), n as usize, "no duplicates for worker {k}");
-            // Own shard comes first, ascending.
-            let own_start = (k as u64 * n as u64 / w as u64) as u32;
-            let own_end = ((k as u64 + 1) * n as u64 / w as u64) as u32;
-            let own_len = (own_end - own_start) as usize;
-            assert!(order[..own_len].windows(2).all(|p| p[0] < p[1]));
-            assert_eq!(order[0], own_start);
-            // The first stolen cell is the *last* cell of the next shard.
-            let next_end = ((k as u64 + 2) * n as u64 / w as u64).min(n as u64) as u32;
-            let expect = if k == w - 1 {
-                (n as u64 / w as u64) as u32 - 1
-            } else {
-                next_end - 1
-            };
-            assert_eq!(order[own_len], expect, "worker {k} steals tail-first");
+    fn sweep_checkpoints_each_cell_once_and_settles_progress() {
+        let dir = std::env::temp_dir().join(format!("gdiff-sweep-unit-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let grid = GridSpec::parse(
+            "order=2,4;bench=gcc,mcf;measure=1000;warmup=0",
+            RunParams::tiny(),
+        )
+        .unwrap();
+        prepare_dir(&dir, &grid, false).unwrap();
+        let live = SharedRegistry::new();
+        let first = sweep_parent(&dir, &grid, 2, Some(&live)).unwrap();
+        assert_eq!(first.len(), 4);
+        let snap = live.snapshot();
+        for (state, want) in [("done", 4.0), ("claimed", 0.0), ("pending", 0.0)] {
+            let got = snap.gauge_by_name(&format!("sweep.cells.{state}"));
+            assert_eq!(got, Some(want), "{state}");
         }
+        // Resuming a finished sweep runs nothing and appends nothing.
+        let again = sweep_parent(&dir, &grid, 2, None).unwrap();
+        assert_eq!(again, first);
+        let read = read_ckpt(&dir.join(SEGMENT), grid.hash()).unwrap();
+        assert_eq!(read.records.len(), 4);
+        assert!(read.records.iter().all(|r| r.worker < 2), "thread index");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //!   as `serve_session_<metric>{session="<name>"}` (session names are
 //!   `[A-Za-z0-9_-]`, so the final dot always splits name from metric);
 //! * the sweep engine's series fold too: `sched.worker.<w>.cells` →
-//!   `sched_worker_cells_total{worker="<w>"}`, the `sweep.cells.<state>`
-//!   progress gauges → `sweep_cells_total{state="done|claimed|pending"}`,
-//!   and `sweep.worker.<k>.cells` → `sweep_worker_cells{worker="<k>"}`;
+//!   `sched_worker_cells_total{worker="<w>"}`, and the `sweep.cells.<state>`
+//!   progress gauges → `sweep_cells_total{state="done|claimed|pending"}`;
 //! * histograms render as Prometheus summaries: `{quantile="0.5|0.9|0.99"}`
 //!   series plus `_sum` and `_count`;
 //! * wall-time spans render as the `span_seconds` summary family labeled
@@ -56,10 +55,9 @@ fn split_session_series(name: &str) -> Option<(&str, &str)> {
     name.strip_prefix("serve.session.")?.rsplit_once('.')
 }
 
-/// Extracts the worker index from a `<prefix><k>.cells` per-worker series
-/// (`sched.worker.3.cells`, `sweep.worker.0.cells`).
-fn split_worker_cells<'a>(name: &'a str, prefix: &str) -> Option<&'a str> {
-    let (worker, metric) = name.strip_prefix(prefix)?.split_once('.')?;
+/// Extracts the worker index from a `sched.worker.<w>.cells` series.
+fn split_worker_cells(name: &str) -> Option<&str> {
+    let (worker, metric) = name.strip_prefix("sched.worker.")?.split_once('.')?;
     (metric == "cells" && worker.bytes().all(|b| b.is_ascii_digit())).then_some(worker)
 }
 
@@ -130,7 +128,7 @@ pub fn prometheus(reg: &Registry, spans: &[(String, SpanStats)]) -> String {
             ));
             continue;
         }
-        if let Some(worker) = split_worker_cells(name, "sched.worker.") {
+        if let Some(worker) = split_worker_cells(name) {
             worker_cells.push((format!("{{worker=\"{worker}\"}}"), v.to_string()));
             continue;
         }
@@ -179,7 +177,6 @@ pub fn prometheus(reg: &Registry, spans: &[(String, SpanStats)]) -> String {
     let mut session_gauges: std::collections::BTreeMap<String, Vec<(String, String)>> =
         std::collections::BTreeMap::new();
     let mut sweep_states: Vec<(String, String)> = Vec::new();
-    let mut sweep_workers: Vec<(String, String)> = Vec::new();
     for (name, v) in reg.gauges_iter() {
         if let Some((session, metric)) = split_session_series(name) {
             session_gauges.entry(metric.to_string()).or_default().push((
@@ -190,10 +187,6 @@ pub fn prometheus(reg: &Registry, spans: &[(String, SpanStats)]) -> String {
         }
         if let Some(state) = split_sweep_state(name) {
             sweep_states.push((format!("{{state=\"{}\"}}", escape_label(state)), number(v)));
-            continue;
-        }
-        if let Some(worker) = split_worker_cells(name, "sweep.worker.") {
-            sweep_workers.push((format!("{{worker=\"{worker}\"}}"), number(v)));
             continue;
         }
         families.push(Family {
@@ -217,14 +210,6 @@ pub fn prometheus(reg: &Registry, spans: &[(String, SpanStats)]) -> String {
             kind: "gauge",
             help: "sweep grid cells by state (done, claimed, pending)".to_string(),
             samples: sweep_states,
-        });
-    }
-    if !sweep_workers.is_empty() {
-        families.push(Family {
-            name: "sweep_worker_cells".to_string(),
-            kind: "gauge",
-            help: "cells checkpointed per sweep worker process".to_string(),
-            samples: sweep_workers,
         });
     }
 
@@ -382,8 +367,6 @@ mod tests {
             let g = r.gauge(&format!("sweep.cells.{state}"));
             r.set_gauge(g, v);
         }
-        let g = r.gauge("sweep.worker.1.cells");
-        r.set_gauge(g, 21.0);
         // Near-misses stay flat series: a non-numeric worker id, a metric
         // that isn't `cells`, a deeper sweep.cells path.
         let c = r.counter("sched.worker.oops.cells");
@@ -402,7 +385,6 @@ mod tests {
         assert!(text.contains("sched_worker_cells_total{worker=\"12\"} 3"));
         assert!(text.contains("sweep_cells_total{state=\"done\"} 40"));
         assert!(text.contains("sweep_cells_total{state=\"pending\"} 57"));
-        assert!(text.contains("sweep_worker_cells{worker=\"1\"} 21"));
         assert!(text.contains("sched_worker_oops_cells_total 1"));
         assert!(text.contains("sched_worker_2_steals_total 1"));
         assert!(text.contains("sweep_cells_done_extra 1"));

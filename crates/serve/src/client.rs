@@ -1,4 +1,4 @@
-//! A windowed go-back-N streaming client for the `gdiff-serve/v1`
+//! A windowed go-back-N streaming client for the `gdiff-serve/v2`
 //! protocol — the `harness serve-client` engine and the selftest driver.
 //!
 //! The client keeps at most `window` unacknowledged chunks in flight.

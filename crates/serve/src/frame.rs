@@ -1,27 +1,31 @@
-//! The `gdiff-serve/v1` wire framing.
+//! The `gdiff-serve/v2` wire framing.
 //!
 //! Every message in either direction is one frame:
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────────┐
-//! │ frame header (16 B): magic "gSv1" · type u8 · flags u8 ·   │
+//! │ frame header (16 B): magic "gSv2" · type u8 · flags u8 ·   │
 //! │                      reserved u16 · payload_len u32 ·      │
-//! │                      payload crc32 u32                     │
+//! │                      crc32 u32                             │
 //! ├────────────────────────────────────────────────────────────┤
 //! │ payload (payload_len bytes)                                │
 //! └────────────────────────────────────────────────────────────┘
 //! ```
 //!
 //! A frame is one `tracefile::record` record, read under [`MAX_FRAME_LEN`].
-//! Integers are little-endian; `flags` and `reserved` must be zero in v1.
+//! Its CRC covers the first 12 header bytes (magic, type, flags, reserved
+//! and length) and then the payload, so a flipped type byte is a CRC
+//! error, not a valid frame of another type. Integers are little-endian;
+//! `flags` and `reserved` must be zero.
 //! Control payloads ([`HELLO`], [`WELCOME`], [`ACK`], …) are compact JSON
 //! objects; the [`CHUNK`] payload is a `u64` little-endian sequence number
 //! followed by one verbatim tracefile wire chunk (which carries its own
 //! CRC on top of the frame CRC); the [`METRICS`] payload is Prometheus
 //! exposition text.
 //!
-//! Each received byte is hashed once: [`read_frame`] verifies the frame
-//! CRC and keeps it in [`Frame::crc`], and `wire_payload_crc` derives
+//! Each received byte is hashed once: [`read_frame`] computes the payload
+//! CRC, checks the frame CRC against it (combining in the 12 header bytes'
+//! CRC), and keeps it in [`Frame::crc`], and `wire_payload_crc` derives
 //! the embedded wire chunk's payload CRC from it (hashing the 24 bytes in
 //! front of that payload, not the payload again) for the daemon's exact
 //! check against the chunk header.
@@ -38,8 +42,8 @@ use tracefile::container::CHUNK_HEADER_LEN;
 use tracefile::crc32::{crc32, crc32_combine};
 use tracefile::record::{self, write_record, RecordError, RecordHeader, RECORD_HEADER_LEN};
 
-/// Frame magic: "gSv1".
-pub const FRAME_MAGIC: [u8; 4] = *b"gSv1";
+/// Frame magic: "gSv2".
+pub const FRAME_MAGIC: [u8; 4] = *b"gSv2";
 /// Frame header length in bytes (a `tracefile::record` header).
 pub const FRAME_HEADER_LEN: usize = RECORD_HEADER_LEN;
 /// Upper bound on one frame's payload (a default-cap wire chunk is a few
@@ -117,7 +121,7 @@ pub struct Frame {
     pub ftype: u8,
     /// The raw payload.
     pub payload: Vec<u8>,
-    /// The payload's CRC-32, as stored in the header and verified.
+    /// The payload's CRC-32, verified through the header's frame CRC.
     pub crc: u32,
 }
 
@@ -137,11 +141,11 @@ pub enum FrameError {
     BadReserved,
     /// The declared payload length exceeds [`MAX_FRAME_LEN`].
     TooLarge(u32),
-    /// The payload CRC does not match.
+    /// The frame CRC does not match.
     Crc {
         /// CRC stored in the frame header.
         stored: u32,
-        /// CRC computed over the payload.
+        /// CRC computed over the header's first 12 bytes and the payload.
         computed: u32,
     },
     /// The payload should have been JSON / UTF-8 and was not.
@@ -179,13 +183,16 @@ impl From<io::Error> for FrameError {
 }
 
 /// The record header of a frame carrying `payload`: the magic word, then
-/// the type byte with flags and reserved bytes zero in v1.
+/// the type byte with flags and reserved bytes zero, and the CRC of both
+/// with the length and the payload.
 fn frame_header(ftype: u8, payload: &[u8]) -> RecordHeader {
     assert!(
         payload.len() as u64 <= MAX_FRAME_LEN as u64,
         "frame too big"
     );
-    RecordHeader::new([u32::from_le_bytes(FRAME_MAGIC), ftype.into()], payload)
+    let mut header = RecordHeader::new([u32::from_le_bytes(FRAME_MAGIC), ftype.into()], payload);
+    header.crc = header.covered_crc(header.crc);
+    header
 }
 
 /// Encodes one frame into a byte vector.
@@ -204,7 +211,8 @@ pub fn write_frame(w: &mut impl Write, ftype: u8, payload: &[u8]) -> Result<(), 
     Ok(())
 }
 
-/// Reads one frame, validating magic, reserved bits, length, and CRC.
+/// Reads one frame, validating magic, reserved bits, length, and the CRC
+/// over header and payload.
 ///
 /// The magic and reserved bits are checked before any payload byte is
 /// read. At most [`MAX_FRAME_RESERVE`] bytes are reserved before the
@@ -221,8 +229,9 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
         return Err(FrameError::BadReserved);
     }
     let mut payload = Vec::new();
-    let computed = record::read_body(r, &header, MAX_FRAME_LEN, &mut payload)
+    let crc = record::read_body(r, &header, MAX_FRAME_LEN, &mut payload)
         .map_err(|e| frame_error(e, "payload"))?;
+    let computed = header.covered_crc(crc);
     if computed != header.crc {
         return Err(FrameError::Crc {
             stored: header.crc,
@@ -232,7 +241,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
     Ok(Frame {
         ftype: kind as u8,
         payload,
-        crc: header.crc,
+        crc,
     })
 }
 
@@ -282,7 +291,7 @@ pub fn split_chunk_payload(payload: &[u8]) -> Result<(u64, &[u8]), FrameError> {
 const CHUNK_PREFIX_LEN: usize = 8 + CHUNK_HEADER_LEN as usize;
 
 /// The CRC-32 of the wire-chunk payload inside a [`CHUNK`] frame (what
-/// that chunk's header CRC must equal), derived from the frame CRC
+/// that chunk's header CRC must equal), derived from the payload CRC
 /// [`read_frame`] verified: `frame.crc` split past the first 24 bytes,
 /// the only ones hashed here. Exact for any payload length; a payload too
 /// short to hold a chunk header yields the CRC of its empty remainder.
@@ -298,7 +307,7 @@ mod tests {
 
     #[test]
     fn frames_round_trip() {
-        let payload = b"{\"schema\":\"gdiff-serve/v1\"}";
+        let payload = b"{\"schema\":\"gdiff-serve/v2\"}";
         let bytes = encode_frame(HELLO, payload);
         let mut cur = &bytes[..];
         let f = read_frame(&mut cur).unwrap();
@@ -394,7 +403,7 @@ mod tests {
     fn pinned_stream() -> Vec<u8> {
         let insts: Vec<workloads::DynInst> = workloads::Benchmark::Gcc.build(5).take(64).collect();
         let wire = tracefile::encode_wire_chunk(&insts, 0);
-        let mut bytes = encode_frame(HELLO, b"{\"schema\":\"gdiff-serve/v1\",\"name\":\"pin\"}");
+        let mut bytes = encode_frame(HELLO, b"{\"schema\":\"gdiff-serve/v2\",\"name\":\"pin\"}");
         bytes.extend(encode_frame(CHUNK, &chunk_payload(3, &wire)));
         bytes.extend(encode_frame(BYE, &[]));
         bytes
@@ -403,7 +412,7 @@ mod tests {
     #[test]
     fn frame_bytes_are_pinned() {
         let bytes = pinned_stream();
-        assert_eq!((bytes.len(), crc32(&bytes)), (600, 0x6238_0736));
+        assert_eq!((bytes.len(), crc32(&bytes)), (600, 0xE33A_A30B));
     }
 
     /// Reads frames until one fails; a clean stream ends in `Closed`.
@@ -443,18 +452,10 @@ mod tests {
             bad[pos] ^= 1 << (bit % 8);
             let (got, end) = read_all(&bad);
             let hit = starts.iter().rposition(|&s| s <= pos).unwrap();
-            assert_eq!(got[..hit], frames[..hit], "bit {bit}");
-            if pos - starts[hit] == 4 {
-                // The type byte is outside the payload CRC: the frame
-                // reads back whole under the flipped type.
-                let mut want = frames.clone();
-                want[hit].ftype ^= 1 << (bit % 8);
-                assert_eq!(got, want, "bit {bit}");
-                assert!(matches!(end, FrameError::Closed));
-            } else {
-                assert_eq!(got.len(), hit, "bit {bit} leaked a damaged frame");
-                assert!(!matches!(end, FrameError::Closed), "bit {bit}: {end}");
-            }
+            // Header bytes (the type byte included) and payload bytes
+            // alike: the damaged frame is an error, never a frame.
+            assert_eq!(got[..], frames[..hit], "bit {bit} leaked a damaged frame");
+            assert!(!matches!(end, FrameError::Closed), "bit {bit}: {end}");
         }
     }
 

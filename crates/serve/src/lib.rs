@@ -9,10 +9,11 @@
 //! live — bit-identical to what the same trace produces in a one-shot
 //! `harness` run, because the feed loop is the same loop.
 //!
-//! # The `gdiff-serve/v1` protocol
+//! # The `gdiff-serve/v2` protocol
 //!
 //! Transport: a byte stream (Unix socket or stdio pipe). Every message is
-//! one CRC-framed message (see [`frame`] for the byte layout). A normal
+//! one CRC-framed message (see [`frame`] for the byte layout; v2 frames'
+//! CRC covers the header as well as the payload). A normal
 //! session conversation:
 //!
 //! ```text
@@ -46,8 +47,9 @@
 //! accepts only the exact next sequence number, so backpressure refusals
 //! (go-back-N) can never reorder or duplicate predictor updates. Both
 //! CRCs are checked exactly, yet the server hashes each received byte
-//! once: the frame CRC as the frame is read, and the wire chunk's payload
-//! CRC is derived from it (`frame::wire_payload_crc`) and compared with
+//! once: the payload CRC as the frame is read (checked against the frame
+//! CRC), and the wire chunk's payload CRC is derived from it
+//! (`frame::wire_payload_crc`) and compared with
 //! the one in the chunk header.
 //!
 //! Control conversations (no session): `STATUS_REQ` → `STATUS`,
@@ -90,7 +92,7 @@ pub mod server;
 pub mod session;
 
 /// Schema tag of HELLO/WELCOME payloads — the protocol version.
-pub const PROTOCOL_SCHEMA: &str = "gdiff-serve/v1";
+pub const PROTOCOL_SCHEMA: &str = "gdiff-serve/v2";
 
 pub use client::{ClientError, SessionOutcome};
 pub use server::{serve_stdio, ServeConfig, Server, ServerHandle, ServerState};

@@ -139,7 +139,7 @@ fn malformed_frame_kills_session_never_daemon() {
 
     // A connection that talks garbage gets an ERROR and dies.
     let (mut r, mut w) = connect(&h);
-    w.write_all(b"this is not a gSv1 frame at all.").unwrap();
+    w.write_all(b"this is not a gSv2 frame at all.").unwrap();
     w.flush().unwrap();
     let f = frame::read_frame(&mut r).expect("error frame");
     assert_eq!(f.ftype, frame::ERROR);

@@ -1,6 +1,6 @@
 //! The sweep checkpoint container (`gdiff-sweep-ckpt/v1`).
 //!
-//! A sweep worker appends one framed record per completed grid cell, so an
+//! A sweep appends one framed record per completed grid cell, so an
 //! interrupted sweep can resume by skipping every cell whose record
 //! survives on disk. The container follows the tracefile house style:
 //! a magic-tagged header, self-validating CRC-framed records, and a read
@@ -165,8 +165,8 @@ impl std::fmt::Display for CkptDamage {
 pub struct CkptRecord {
     /// Grid cell id (the cell's index in canonical expansion order).
     pub cell: u32,
-    /// The worker that *executed* the cell — under work stealing this is
-    /// the stealer, not the shard owner.
+    /// The worker that *executed* the cell (the sweep records the index of
+    /// the thread that ran it).
     pub worker: u32,
     /// The cell's serialized result (opaque to this crate).
     pub payload: Vec<u8>,
@@ -183,7 +183,7 @@ pub struct CkptRead {
     pub damage: Option<CkptDamage>,
 }
 
-/// Append-only writer for one worker's checkpoint segment.
+/// Append-only writer for one checkpoint segment.
 #[derive(Debug)]
 pub struct CkptWriter {
     file: BufWriter<File>,
@@ -264,13 +264,7 @@ pub fn read_ckpt(path: &Path, grid_hash: u32) -> Result<CkptRead, CkptError> {
     let mut r = BufReader::new(File::open(path)?);
     read_segment_header(&mut r, grid_hash)?;
     let mut records = Vec::new();
-    let damage = scan(&mut r, |cell, worker, payload| {
-        records.push(CkptRecord {
-            cell,
-            worker,
-            payload: std::mem::take(payload),
-        })
-    });
+    let damage = scan(&mut r, &mut records);
     Ok(CkptRead {
         grid_hash,
         records,
@@ -278,29 +272,12 @@ pub fn read_ckpt(path: &Path, grid_hash: u32) -> Result<CkptRead, CkptError> {
     })
 }
 
-/// Counts the intact records a segment holds — the scan behind the sweep
-/// parent's progress gauges, and the count [`read_ckpt`] would return.
-/// Any unreadable or damaged state simply ends the count.
-pub fn count_ckpt_records(path: &Path) -> u64 {
-    let Ok(f) = File::open(path) else {
-        return 0;
-    };
-    let mut r = BufReader::new(f);
-    if r.read_exact(&mut [0u8; CKPT_HEADER_LEN as usize]).is_err() {
-        return 0;
-    }
-    let mut count = 0;
-    scan(&mut r, |_, _, _| count += 1);
-    count
-}
-
-/// Walks the records after the segment header, handing each intact one's
-/// cell, worker and payload to `each`; returns the damage that ended the
-/// walk, if any. An I/O error reads as a torn tail: the cells past it
-/// are recomputed, never trusted.
-fn scan(r: &mut impl Read, mut each: impl FnMut(u32, u32, &mut Vec<u8>)) -> Option<CkptDamage> {
+/// Walks the records after the segment header, appending each intact one
+/// to `records`; returns the damage that ended the walk, if any. An I/O
+/// error reads as a torn tail: the cells past it are recomputed, never
+/// trusted.
+fn scan(r: &mut impl Read, records: &mut Vec<CkptRecord>) -> Option<CkptDamage> {
     let mut offset = CKPT_HEADER_LEN;
-    let mut payload = Vec::new();
     loop {
         let torn = Some(CkptDamage::TornTail { offset });
         let Ok(header) = read_header(r) else {
@@ -315,7 +292,7 @@ fn scan(r: &mut impl Read, mut each: impl FnMut(u32, u32, &mut Vec<u8>)) -> Opti
                 reason,
             })
         };
-        payload.clear();
+        let mut payload = Vec::new();
         match read_body(r, &header, CKPT_MAX_PAYLOAD, &mut payload) {
             Ok(crc) if header.covered_crc(crc) == header.crc => {}
             Ok(_) => return corrupt("record crc mismatch".to_string()),
@@ -326,7 +303,11 @@ fn scan(r: &mut impl Read, mut each: impl FnMut(u32, u32, &mut Vec<u8>)) -> Opti
             }
             Err(_) => return torn,
         }
-        each(cell, worker, &mut payload);
+        records.push(CkptRecord {
+            cell,
+            worker,
+            payload,
+        });
         offset += CKPT_RECORD_HEADER_LEN + u64::from(header.len);
     }
 }
@@ -405,17 +386,5 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!((bytes.len(), crc32(&bytes)), (97, 0xFBB9_9B1F));
-    }
-
-    #[test]
-    fn count_matches_read() {
-        let path = tmp("count");
-        let mut w = CkptWriter::create(&path, 9).unwrap();
-        for i in 0..5u32 {
-            w.append(i, 0, format!("cell-{i}").as_bytes()).unwrap();
-        }
-        drop(w);
-        assert_eq!(count_ckpt_records(&path), 5);
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -58,9 +58,7 @@ pub mod record;
 mod source;
 pub mod varint;
 
-pub use ckpt::{
-    count_ckpt_records, read_ckpt, CkptDamage, CkptError, CkptRead, CkptRecord, CkptWriter,
-};
+pub use ckpt::{read_ckpt, CkptDamage, CkptError, CkptRead, CkptRecord, CkptWriter};
 
 pub use container::{
     decode_wire_chunk, decode_wire_chunk_with_crc, encode_wire_chunk, ChunkEntry, StreamInfo,

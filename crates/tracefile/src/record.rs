@@ -1,5 +1,5 @@
 //! The one record codec under trace chunks ([`container`](crate::container)),
-//! sweep checkpoint records ([`ckpt`](crate::ckpt)) and `gdiff-serve/v1`
+//! sweep checkpoint records ([`ckpt`](crate::ckpt)) and `gdiff-serve/v2`
 //! frames: a 16-byte header of two tag words, the body length and a CRC
 //! (each a little-endian `u32`), then the body. Each format fills in the
 //! tag and decides what the CRC covers.

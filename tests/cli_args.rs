@@ -244,18 +244,6 @@ fn sweep_args_are_validated() {
         "sweep needs --ckpt",
     );
     assert_usage_error(
-        &[
-            "sweep",
-            "--grid",
-            "order=4",
-            "--ckpt",
-            "/tmp/x",
-            "--workers",
-            "0",
-        ],
-        "at least 1",
-    );
-    assert_usage_error(
         &["sweep", "--grid", "order=4", "--dry-run", "--fresh"],
         "mutually exclusive",
     );
@@ -308,17 +296,34 @@ fn sweep_grid_specs_are_validated() {
 }
 
 #[test]
-fn sweep_worker_args_are_validated() {
-    // The hidden child entry point still fails loudly when hand-invoked.
+fn sweep_process_flags_are_gone() {
+    // A sweep runs in one process: `--workers` and the `sweep-worker`
+    // child entry point are unknown, not silently ignored.
     assert_usage_error(
-        &["sweep-worker", "--worker", "0"],
-        "sweep-worker needs --ckpt",
+        &[
+            "sweep",
+            "--grid",
+            "order=4",
+            "--ckpt",
+            "/tmp/x",
+            "--workers",
+            "2",
+        ],
+        "unknown sweep option: --workers",
     );
+    assert_usage_error(&["sweep-worker"], "unknown experiment: sweep-worker");
     assert_usage_error(
-        &["sweep-worker", "--ckpt", "/tmp/x", "--worker", "no"],
-        "invalid value 'no'",
+        &[
+            "sweep-worker",
+            "--ckpt",
+            "/tmp/x",
+            "--worker",
+            "0",
+            "--workers",
+            "2",
+        ],
+        "unknown option: --ckpt",
     );
-    assert_usage_error(&["sweep-worker", "-j0"], "at least 1");
 }
 
 #[test]

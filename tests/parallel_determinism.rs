@@ -5,10 +5,10 @@
 //! Only wall-clock artifacts (stderr timing lines, the report's `timings`
 //! and `scheduler` sections) may differ between worker counts.
 //!
-//! The same guarantee extends to the sweep engine at the *process* level:
-//! `harness sweep` produces byte-identical stdout and `--out` report for
-//! every `--workers`/`--jobs` combination — including when the sweep is
-//! killed mid-run and resumed by a different worker count.
+//! The same guarantee extends to the sweep engine: `harness sweep`
+//! produces byte-identical stdout and `--out` report for every `--jobs`
+//! value — including when the sweep is killed mid-run and resumed at a
+//! different thread count.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -62,11 +62,10 @@ const GRID: &str =
     "order=2,4,8,16;depth=0,1024,8192;threshold=0,2,4;delay=0,1,2;bench=all;warmup=0;measure=1000";
 
 /// Runs `harness sweep` over `GRID` into `dir`; returns (stdout, report).
-fn run_sweep(dir: &Path, workers: usize, jobs: usize) -> (Vec<u8>, String) {
+fn run_sweep(dir: &Path, jobs: usize) -> (Vec<u8>, String) {
     let json = dir.with_extension("json");
     let out = Command::new(env!("CARGO_BIN_EXE_harness"))
-        .args(["sweep", "--grid", GRID, "--pareto", "--workers"])
-        .arg(workers.to_string())
+        .args(["sweep", "--grid", GRID, "--pareto"])
         .args(["--jobs", &jobs.to_string(), "--out"])
         .arg(&json)
         .arg("--ckpt")
@@ -75,7 +74,7 @@ fn run_sweep(dir: &Path, workers: usize, jobs: usize) -> (Vec<u8>, String) {
         .expect("harness sweep runs");
     assert!(
         out.status.success(),
-        "sweep workers={workers} failed: {}",
+        "sweep jobs={jobs} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let report = std::fs::read_to_string(&json).expect("report written");
@@ -83,29 +82,36 @@ fn run_sweep(dir: &Path, workers: usize, jobs: usize) -> (Vec<u8>, String) {
     (out.stdout, report)
 }
 
-fn ckpt_records(dir: &Path) -> u64 {
+/// The intact checkpoint records in `dir`'s segments (0 before the grid
+/// is pinned or a segment header is written).
+fn ckpt_records(dir: &Path) -> usize {
+    let Ok(spec) = std::fs::read_to_string(dir.join("grid.spec")) else {
+        return 0;
+    };
+    let hash = tracefile::crc32::crc32(spec.as_bytes());
     std::fs::read_dir(dir)
         .into_iter()
         .flatten()
         .flatten()
         .map(|e| e.path())
         .filter(|p| p.extension().is_some_and(|e| e == "ckpt"))
-        .map(|p| tracefile::count_ckpt_records(&p))
+        .filter_map(|p| tracefile::read_ckpt(&p, hash).ok())
+        .map(|read| read.records.len())
         .sum()
 }
 
 #[test]
-fn sweep_is_byte_identical_across_process_counts() {
-    let d1 = tmp_path("sweep-w1");
-    let d4 = tmp_path("sweep-w4");
+fn sweep_is_byte_identical_across_thread_counts() {
+    let d1 = tmp_path("sweep-j1");
+    let d4 = tmp_path("sweep-j4");
     std::fs::remove_dir_all(&d1).ok();
     std::fs::remove_dir_all(&d4).ok();
-    let (stdout1, report1) = run_sweep(&d1, 1, 2);
-    let (stdout4, report4) = run_sweep(&d4, 4, 2);
+    let (stdout1, report1) = run_sweep(&d1, 1);
+    let (stdout4, report4) = run_sweep(&d4, 4);
     assert!(!stdout1.is_empty(), "sweep tables go to stdout");
-    assert_eq!(stdout4, stdout1, "stdout must not depend on --workers");
-    assert_eq!(report4, report1, "report must not depend on --workers");
-    // The report must carry no trace of which process computed what.
+    assert_eq!(stdout4, stdout1, "stdout must not depend on --jobs");
+    assert_eq!(report4, report1, "report must not depend on --jobs");
+    // The report must carry no trace of which thread computed what.
     assert!(
         !report1.contains("worker"),
         "report leaks worker attribution"
@@ -120,21 +126,12 @@ fn killed_sweep_resumes_to_byte_identical_output() {
     let kill = tmp_path("sweep-kill");
     std::fs::remove_dir_all(&base).ok();
     std::fs::remove_dir_all(&kill).ok();
-    let (stdout_ref, report_ref) = run_sweep(&base, 1, 2);
+    let (stdout_ref, report_ref) = run_sweep(&base, 1);
 
-    // Start a 2-process sweep and kill it once real progress is on disk
+    // Start a 2-thread sweep and kill it once real progress is on disk
     // but well before the end.
     let mut child = Command::new(env!("CARGO_BIN_EXE_harness"))
-        .args([
-            "sweep",
-            "--grid",
-            GRID,
-            "--pareto",
-            "--workers",
-            "2",
-            "--jobs",
-            "2",
-        ])
+        .args(["sweep", "--grid", GRID, "--pareto", "--jobs", "2"])
         .arg("--ckpt")
         .arg(&kill)
         .stdout(std::process::Stdio::null())
@@ -157,17 +154,13 @@ fn killed_sweep_resumes_to_byte_identical_output() {
     }
     child.kill().expect("kill");
     child.wait().expect("wait");
-    // The orphaned worker processes exit on their own (parent-death
-    // watchdog); give their final in-flight appends a moment to land so
-    // the resume below sees a settled directory.
-    std::thread::sleep(Duration::from_millis(300));
     let salvaged = ckpt_records(&kill);
     assert!(salvaged >= 20, "kill erased checkpointed cells");
     assert!(salvaged < 1080, "kill landed after the sweep finished");
 
-    // Resume with a *different* worker count: completed cells are skipped,
+    // Resume with a *different* thread count: completed cells are skipped,
     // the rest recomputed, and the merged output is byte-identical.
-    let (stdout_res, report_res) = run_sweep(&kill, 4, 2);
+    let (stdout_res, report_res) = run_sweep(&kill, 4);
     assert_eq!(stdout_res, stdout_ref, "resumed stdout differs");
     assert_eq!(report_res, report_ref, "resumed report differs");
     std::fs::remove_dir_all(&base).ok();

@@ -1,7 +1,8 @@
 //! Sweep-engine failure-path contracts, tested through the binary:
 //! checkpoint corruption is surfaced as data and repaired by recompute
-//! (never a panic, never a wrong number), and `--dry-run` validates and
-//! prices a grid without touching disk.
+//! (never a panic, never a wrong number), a checkpoint directory in the
+//! older one-segment-per-worker-process layout resumes, and `--dry-run`
+//! validates and prices a grid without touching disk.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -234,4 +235,72 @@ fn sweep_report_has_the_declared_schema_and_pooled_counts() {
     assert!(!pareto.is_empty() && pareto.len() <= configs.len());
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_file(dir.with_extension("json")).ok();
+}
+
+#[test]
+fn multi_process_checkpoint_layout_resumes_byte_identically() {
+    let reference = tmp_path("layout-ref");
+    let dir = tmp_path("layout");
+    std::fs::remove_dir_all(&reference).ok();
+    std::fs::remove_dir_all(&dir).ok();
+    let out = run_sweep(&reference, &[]);
+    assert!(out.status.success());
+    let stdout_ref = out.stdout;
+    let report_ref = read_report(&reference);
+
+    // Lay the reference records out as worker processes used to leave
+    // them: one segment per shard, stragglers in `worker-main.ckpt`,
+    // cell 5 in two segments, cells 13..16 never finished, and a claim
+    // file for every cell.
+    let hash = grid_hash(&reference);
+    let mut records = Vec::new();
+    for seg in ckpt_segments(&reference) {
+        records.extend(tracefile::read_ckpt(&seg, hash).expect("segment").records);
+    }
+    records.sort_by_key(|r| r.cell);
+    assert_eq!(records.len(), 16, "reference checkpoints every cell once");
+    std::fs::create_dir_all(dir.join("claims")).expect("claims dir");
+    std::fs::copy(reference.join("grid.spec"), dir.join("grid.spec")).expect("grid.spec");
+    for (name, worker, cells) in [
+        ("worker-0.ckpt", 0, 0..6),
+        ("worker-1.ckpt", 1, 5..10),
+        ("worker-main.ckpt", u32::MAX, 10..13),
+    ] {
+        let mut w = tracefile::CkptWriter::create(&dir.join(name), hash).expect("segment");
+        for rec in &records[cells] {
+            w.append(rec.cell, worker, &rec.payload).expect("append");
+        }
+    }
+    for cell in 0..16 {
+        std::fs::File::create(dir.join("claims").join(format!("c{cell}"))).expect("claim");
+    }
+
+    let out = run_sweep(&dir, &[]);
+    assert!(
+        out.status.success(),
+        "old layout must resume: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("13 of 16 cells already checkpointed"),
+        "{stderr}"
+    );
+    assert_eq!(out.stdout, stdout_ref, "resumed tables differ");
+    assert_eq!(read_report(&dir), report_ref, "resumed report differs");
+    // Only the three unfinished cells ran again, despite their claims.
+    let total: usize = ckpt_segments(&dir)
+        .iter()
+        .map(|seg| {
+            tracefile::read_ckpt(seg, hash)
+                .expect("segment")
+                .records
+                .len()
+        })
+        .sum();
+    assert_eq!(total, 6 + 5 + 3 + 3);
+    for d in [&reference, &dir] {
+        std::fs::remove_dir_all(d).ok();
+        std::fs::remove_file(d.with_extension("json")).ok();
+    }
 }
