@@ -5,7 +5,7 @@ use predictors::{
     Capacity, ConfidenceConfig, ConfidenceTable, GatedPrediction, StridePredictor, ValuePredictor,
 };
 
-use crate::{GDiffCore, GlobalValueQueue, SlotId, MAX_ORDER};
+use crate::{GDiffCore, GlobalValueQueue, SlotId};
 
 /// Dispatch-time state for one in-flight instruction under
 /// [`HgvqPredictor`].
@@ -89,9 +89,6 @@ pub struct HgvqPredictor<F = StridePredictor> {
     queue: GlobalValueQueue,
     confidence: ConfidenceTable,
     filler: F,
-    /// Reusable window scratch (unmasked lanes are unspecified by
-    /// contract, so no per-writeback re-zeroing).
-    window: [u64; MAX_ORDER],
 }
 
 impl HgvqPredictor<StridePredictor> {
@@ -131,7 +128,6 @@ impl<F: ValuePredictor> HgvqPredictor<F> {
             queue: GlobalValueQueue::new(order),
             confidence: ConfidenceTable::new(confidence, config),
             filler,
-            window: [0; MAX_ORDER],
         }
     }
 
@@ -171,9 +167,8 @@ impl<F: ValuePredictor> HgvqPredictor<F> {
     pub fn writeback(&mut self, pc: u64, token: &HgvqToken, actual: u64) {
         self.queue.patch(token.slot, actual);
         // One slot-anchored window read feeds the batched update kernel.
-        let avail = self.queue.window_from(token.slot, &mut self.window);
-        self.core
-            .update_from_window(pc, actual, &self.window, avail);
+        let (values, avail) = self.queue.window_from(token.slot);
+        self.core.update_from_window(pc, actual, values, avail);
         if let Some(p) = token.prediction {
             self.confidence.train(pc, p.value == actual);
         }

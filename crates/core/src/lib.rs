@@ -46,11 +46,15 @@
 //!
 //! [`GDiffCore`] has one predict and one update. A prediction reads a
 //! single queue slot, the selected distance, through a closure
-//! ([`GDiffCore::predict_with_tap`]). A completion reads the whole queue
-//! window in one pass and runs a lane-parallel kernel over it
-//! ([`GlobalValueQueue::window`] / [`GDiffCore::update_from_window`]).
-//! [`reference::ReferenceCore`] keeps the scalar closure formulation as
-//! the equivalence-test oracle.
+//! ([`GDiffCore::predict_with_tap`]). A completion borrows the whole queue
+//! window in place — lanes and an availability mask, nothing copied — and
+//! runs a lane-parallel kernel over it ([`GlobalValueQueue::window`] /
+//! [`GDiffCore::update_from_window`]). The profile loop, whose queue does
+//! not move between a producer's prediction and its training, fuses the
+//! two into one table probe over one window
+//! ([`GDiffCore::step_from_window`], behind [`GDiffPredictor`]'s
+//! `ValuePredictor::step`). [`reference::ReferenceCore`] keeps the scalar
+//! closure formulation as the equivalence-test oracle.
 //!
 //! # Quick start
 //!

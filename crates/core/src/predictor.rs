@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use predictors::{Capacity, ValuePredictor};
 
-use crate::{GDiffCore, GlobalValueQueue, MAX_ORDER};
+use crate::{GDiffCore, GlobalValueQueue};
 
 /// The gDiff predictor with a committed, in-order global value queue — the
 /// configuration of the paper's §3 profile studies (Figures 8–10).
@@ -13,8 +13,10 @@ use crate::{GDiffCore, GlobalValueQueue, MAX_ORDER};
 /// [`update`](ValuePredictor::update) for **every** value-producing
 /// instruction in program order (this is what fills the GVQ), and
 /// [`predict`](ValuePredictor::predict) for whichever instructions you want
-/// predicted. The [`ValuePredictor`] impl makes it interchangeable with
-/// the local baselines in the experiment harness.
+/// predicted. The profile loop does both for every producer through
+/// [`step`](ValuePredictor::step), which reads the queue window once and
+/// probes the table once. The [`ValuePredictor`] impl makes it
+/// interchangeable with the local baselines in the experiment harness.
 ///
 /// # Value delay
 ///
@@ -57,10 +59,6 @@ pub struct GDiffPredictor {
     queue: GlobalValueQueue,
     pending: VecDeque<u64>,
     delay: usize,
-    /// Reusable window scratch: lanes outside the availability mask are
-    /// unspecified by contract, so the buffer never needs re-zeroing —
-    /// avoiding a fresh `[0u64; MAX_ORDER]` (and its memset) per update.
-    window: [u64; MAX_ORDER],
 }
 
 impl GDiffPredictor {
@@ -81,7 +79,6 @@ impl GDiffPredictor {
             queue: GlobalValueQueue::new(order),
             pending: VecDeque::with_capacity(delay + 1),
             delay,
-            window: [0; MAX_ORDER],
         }
     }
 
@@ -110,6 +107,17 @@ impl GDiffPredictor {
     pub fn conflict_rate(&self) -> f64 {
         self.core.conflict_rate()
     }
+
+    /// Makes a produced value visible in the queue once `delay` further
+    /// values have been produced.
+    #[inline]
+    fn produce(&mut self, actual: u64) {
+        self.pending.push_back(actual);
+        while self.pending.len() > self.delay {
+            let v = self.pending.pop_front().expect("len checked");
+            self.queue.push(v);
+        }
+    }
 }
 
 impl ValuePredictor for GDiffPredictor {
@@ -123,14 +131,18 @@ impl ValuePredictor for GDiffPredictor {
         // matching prediction would have read, so learned distances stay
         // meaningful. The queue is read once as a batched window — the
         // per-completion hot path.
-        let avail = self.queue.window(&mut self.window);
-        self.core
-            .update_from_window(pc, actual, &self.window, avail);
-        self.pending.push_back(actual);
-        while self.pending.len() > self.delay {
-            let v = self.pending.pop_front().expect("len checked");
-            self.queue.push(v);
-        }
+        let (values, avail) = self.queue.window();
+        self.core.update_from_window(pc, actual, values, avail);
+        self.produce(actual);
+    }
+
+    fn step(&mut self, pc: u64, actual: u64) -> Option<u64> {
+        // The queue does not move between this producer's prediction and
+        // its training, so both read one window, through one table probe.
+        let (values, avail) = self.queue.window();
+        let predicted = self.core.step_from_window(pc, actual, values, avail);
+        self.produce(actual);
+        predicted
     }
 
     fn name(&self) -> &'static str {

@@ -43,7 +43,7 @@ impl SlotId {
 /// (wrapping at zero) and writes the value at `pos` and at `pos + order`,
 /// so the value `k` pushes back always sits at `buf[pos + k − 1]`: every
 /// window of up to `order` distances is one contiguous slice, whatever the
-/// wrap point. [`window`](Self::window) is a single `copy_from_slice`, and
+/// wrap point. [`window`](Self::window) borrows that slice in place, and
 /// no read does wrap arithmetic.
 ///
 /// # Examples
@@ -214,47 +214,50 @@ impl GlobalValueQueue {
         self.back((self.head - seq) as usize)
     }
 
-    /// Reads the whole head-anchored window: `out[k - 1]` receives the
-    /// value [`back`](Self::back)`(k)` would return and bit `k - 1` of the
+    /// Reads the whole head-anchored window in place: `lanes[k - 1]` is the
+    /// value [`back`](Self::back)`(k)` would return, and bit `k - 1` of the
     /// returned mask is set when that slot is resolved.
     ///
     /// This is the batched form of `back` the per-completion hot path uses:
     /// the distances are contiguous in the mirrored buffer, so the read is
-    /// one slice copy and one mask.
+    /// one borrowed slice and one mask, with nothing copied.
     ///
     /// # `MAX_ORDER` alignment
     ///
     /// The window is clamped to [`MAX_ORDER`] distances (the widest any
     /// [`GDiffCore`](crate::GDiffCore) can consume, matching the `u64`
     /// availability mask): a queue of a larger order exposes only its
-    /// `MAX_ORDER` most recent values through this API. Lanes whose mask
-    /// bit is clear carry unspecified values — consumers must gate every
-    /// lane on the mask, exactly as
+    /// `MAX_ORDER` most recent values through this API. The slice is no
+    /// longer than the distances that exist (before the queue fills, only
+    /// the values pushed so far); distances past its end are unavailable
+    /// and have no mask bit. Lanes whose mask bit is clear carry
+    /// unspecified values — consumers must gate every lane on the mask,
+    /// exactly as
     /// [`GDiffCore::update_from_window`](crate::GDiffCore::update_from_window)
     /// does.
     #[inline]
-    pub fn window(&self, out: &mut [u64; MAX_ORDER]) -> u64 {
+    pub fn window(&self) -> (&[u64], u64) {
         let n = self
             .order
             .min(MAX_ORDER)
             .min(self.head.min(MAX_ORDER as u64) as usize);
-        self.fill_window(0, n, out)
+        self.window_at(0, n)
     }
 
-    /// Copies the `n` lanes at head-distances `gap + 1 ..= gap + n` into
-    /// `out[..n]` and returns their availability mask.
+    /// The `n` lanes at head-distances `gap + 1 ..= gap + n` and their
+    /// availability mask.
     ///
     /// The mask comes from `valid_bits` in one shift-and-mask whenever the
     /// bitmap covers every referenced distance (always, except an
     /// over-64-order queue read from a stale anchor).
     #[inline]
-    fn fill_window(&self, gap: usize, n: usize, out: &mut [u64; MAX_ORDER]) -> u64 {
+    fn window_at(&self, gap: usize, n: usize) -> (&[u64], u64) {
         if n == 0 {
-            return 0;
+            return (&[], 0);
         }
         let start = self.pos + gap;
-        out[..n].copy_from_slice(&self.buf[start..start + n]);
-        if gap + n <= 64 {
+        let lanes = &self.buf[start..start + n];
+        let avail = if gap + n <= 64 {
             let mask = if n == 64 { u64::MAX } else { (1 << n) - 1 };
             (self.valid_bits >> gap) & mask
         } else {
@@ -262,21 +265,22 @@ impl GlobalValueQueue {
                 .iter()
                 .enumerate()
                 .fold(0, |avail, (k, &live)| avail | (u64::from(live) << k))
-        }
+        };
+        (lanes, avail)
     }
 
-    /// Reads the window anchored at `slot`: `out[k - 1]` receives the value
-    /// [`back_from`](Self::back_from)`(slot, k)` would return, with the
-    /// same availability-mask contract (and the same [`MAX_ORDER`] clamp)
-    /// as [`window`](Self::window).
+    /// Reads the window anchored at `slot` in place: `lanes[k - 1]` is the
+    /// value [`back_from`](Self::back_from)`(slot, k)` would return, with
+    /// the same availability-mask contract (and the same [`MAX_ORDER`]
+    /// clamp) as [`window`](Self::window).
     ///
     /// Distances reaching before the first push, or whose referenced slot
     /// has already left the queue window *now*, read as unavailable — the
     /// HGVQ write-back semantics.
     #[inline]
-    pub fn window_from(&self, slot: SlotId, out: &mut [u64; MAX_ORDER]) -> u64 {
+    pub fn window_from(&self, slot: SlotId) -> (&[u64], u64) {
         let Some(gap) = self.head.checked_sub(slot.0) else {
-            return 0;
+            return (&[], 0);
         };
         // Distance k from `slot` sits at head-distance gap + k: usable
         // while gap + k <= order (still in the window) and k <= slot.0
@@ -285,7 +289,7 @@ impl GlobalValueQueue {
             .saturating_sub(gap)
             .min(slot.0)
             .min(MAX_ORDER as u64) as usize;
-        self.fill_window(gap as usize, n, out)
+        self.window_at(gap as usize, n)
     }
 
     /// Iterates over the resident values, most recent first (`None` for
@@ -421,8 +425,8 @@ mod tests {
         q.push(30);
         q.push(40);
         q.push(50); // wraps: 10 evicted
-        let mut w = [0u64; MAX_ORDER];
-        let avail = q.window(&mut w);
+        let (w, avail) = q.window();
+        assert_eq!(w.len(), 4);
         for k in 1..=4usize {
             let got = (avail >> (k - 1)) & 1 != 0;
             assert_eq!(q.back(k).is_some(), got, "k={k}");
@@ -435,9 +439,11 @@ mod tests {
 
     #[test]
     fn window_on_empty_queue_is_empty() {
-        let q = GlobalValueQueue::new(8);
-        let mut w = [0u64; MAX_ORDER];
-        assert_eq!(q.window(&mut w), 0);
+        let mut q = GlobalValueQueue::new(8);
+        assert_eq!(q.window(), (&[][..], 0));
+        q.push(3);
+        q.push(4);
+        assert_eq!(q.window(), (&[4, 3][..], 0b11), "only what was pushed");
     }
 
     #[test]
@@ -448,8 +454,7 @@ mod tests {
         let s = q.push(30);
         q.push(40);
         q.push(50); // 10 leaves the window
-        let mut w = [0u64; MAX_ORDER];
-        let avail = q.window_from(s, &mut w);
+        let (w, avail) = q.window_from(s);
         for k in 1..=4usize {
             let expect = q.back_from(s, k);
             let got = (avail >> (k - 1)) & 1 != 0;
@@ -466,8 +471,8 @@ mod tests {
         for i in 0..(MAX_ORDER as u64 + 8) {
             q.push(i);
         }
-        let mut w = [0u64; MAX_ORDER];
-        let avail = q.window(&mut w);
+        let (w, avail) = q.window();
+        assert_eq!(w.len(), MAX_ORDER);
         assert_eq!(avail, u64::MAX, "all MAX_ORDER lanes resolved");
         for k in 1..=MAX_ORDER {
             assert_eq!(Some(w[k - 1]), q.back(k), "k={k}");

@@ -2,7 +2,7 @@
 
 use predictors::{Capacity, ConfidenceTable, GatedPrediction};
 
-use crate::{GDiffCore, GlobalValueQueue, MAX_ORDER};
+use crate::{GDiffCore, GlobalValueQueue};
 
 /// Dispatch-time state for one in-flight instruction under
 /// [`SgvqPredictor`].
@@ -63,9 +63,6 @@ pub struct SgvqPredictor {
     core: GDiffCore,
     queue: GlobalValueQueue,
     confidence: ConfidenceTable,
-    /// Reusable window scratch (unmasked lanes are unspecified by
-    /// contract, so no per-completion re-zeroing).
-    window: [u64; MAX_ORDER],
 }
 
 impl SgvqPredictor {
@@ -78,7 +75,6 @@ impl SgvqPredictor {
             core: GDiffCore::new(table, order),
             queue: GlobalValueQueue::new(order),
             confidence: ConfidenceTable::with_defaults(confidence),
-            window: [0; MAX_ORDER],
         }
     }
 
@@ -107,9 +103,8 @@ impl SgvqPredictor {
     /// stands *now* (completion order), pushes the result, and trains
     /// confidence.
     pub fn complete(&mut self, pc: u64, token: &SgvqToken, actual: u64) {
-        let avail = self.queue.window(&mut self.window);
-        self.core
-            .update_from_window(pc, actual, &self.window, avail);
+        let (values, avail) = self.queue.window();
+        self.core.update_from_window(pc, actual, values, avail);
         self.queue.push(actual);
         if let Some(p) = token.prediction {
             self.confidence.train(pc, p.value == actual);

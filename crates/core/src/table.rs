@@ -44,24 +44,20 @@ fn lane_mask(order: usize) -> u64 {
 /// The fused per-completion kernel: computes `actual − values[i]` for every
 /// lane, packs `calc == stored` compare bits into a match mask, and
 /// select-stores the fresh differences where `avail` allows — in
-/// [`LANES`]-wide chunks plus a scalar remainder.
+/// [`LANES`]-wide chunks plus a scalar remainder. Only the first
+/// `values.len()` differences are visited.
 ///
 /// Per-lane order (compare the *old* stored difference, then overwrite) is
 /// what makes this bit-exact with the scalar two-pass formulation; lanes
 /// whose `avail` bit is clear may hold garbage in `values`, but their
 /// compare bit is masked off and their store is suppressed.
 #[inline]
-fn match_and_store(
-    diffs: &mut [i64; MAX_ORDER],
-    values: &[u64; MAX_ORDER],
-    actual: u64,
-    avail: u64,
-    order: usize,
-) -> u64 {
+fn match_and_store(diffs: &mut [i64; MAX_ORDER], values: &[u64], actual: u64, avail: u64) -> u64 {
+    let n = values.len();
     let mut mask = 0u64;
-    let chunks = diffs[..order]
+    let chunks = diffs[..n]
         .chunks_exact_mut(LANES)
-        .zip(values[..order].chunks_exact(LANES));
+        .zip(values.chunks_exact(LANES));
     let mut base = 0;
     for (dc, vc) in chunks {
         let mut m = 0u64;
@@ -74,7 +70,7 @@ fn match_and_store(
         mask |= m << base;
         base += LANES;
     }
-    let tail = diffs[base..order].iter_mut().zip(&values[base..order]);
+    let tail = diffs[base..n].iter_mut().zip(&values[base..]);
     for (i, (d_slot, &v)) in tail.enumerate().map(|(j, p)| (base + j, p)) {
         let d = actual.wrapping_sub(v) as i64;
         mask |= u64::from(d == *d_slot) << i;
@@ -84,20 +80,15 @@ fn match_and_store(
     mask & avail
 }
 
-/// The steady-state store sweep: writes the fresh differences without
-/// computing any match mask. The all-lanes-available case is a bare
-/// subtract-and-store loop (the autovectorizer's favourite shape); partial
-/// availability falls back to per-lane select-stores.
+/// The steady-state store sweep: writes the fresh differences of the
+/// first `values.len()` lanes without computing any match mask. The
+/// all-lanes-available case is a bare subtract-and-store loop (the
+/// autovectorizer's favourite shape); partial availability falls back to
+/// per-lane select-stores.
 #[inline]
-fn store_diffs(
-    diffs: &mut [i64; MAX_ORDER],
-    values: &[u64; MAX_ORDER],
-    actual: u64,
-    avail: u64,
-    order: usize,
-) {
-    let lanes = diffs[..order].iter_mut().zip(&values[..order]);
-    if avail == lane_mask(order) {
+fn store_diffs(diffs: &mut [i64; MAX_ORDER], values: &[u64], actual: u64, avail: u64) {
+    let lanes = diffs.iter_mut().zip(values);
+    if avail == lane_mask(values.len()) {
         for (d, &v) in lanes {
             *d = actual.wrapping_sub(v) as i64;
         }
@@ -140,6 +131,48 @@ impl Default for GDiffEntry {
 }
 
 impl GDiffEntry {
+    /// The prediction read through `value_at` (the value at distance `k`,
+    /// or `None` when that slot is unavailable) and its tap: the selected
+    /// distance and its stored difference. Only the selected distance is
+    /// read.
+    #[inline]
+    fn predict(
+        &self,
+        value_at: impl Fn(usize) -> Option<u64>,
+    ) -> (Option<u64>, Option<(u16, i64)>) {
+        let Some(k) = self.distance else {
+            return (None, None);
+        };
+        let diff = self.diffs[usize::from(k) - 1];
+        let value = value_at(usize::from(k)).map(|base| base.wrapping_add(diff as u64));
+        (value, Some((k, diff)))
+    }
+
+    /// Trains the entry of an order-`order` core on `actual` against a
+    /// window already clamped to the order (`values.len() <= order`,
+    /// `avail` without bits at or past `values.len()`); see
+    /// [`GDiffCore::update_from_window`].
+    #[inline]
+    fn train(&mut self, order: usize, actual: u64, values: &[u64], avail: u64) {
+        let keep = match self.distance {
+            Some(k) if self.seen => {
+                let i = usize::from(k) - 1;
+                (avail >> i) & 1 != 0 && actual.wrapping_sub(values[i]) as i64 == self.diffs[i]
+            }
+            _ => false,
+        };
+        if keep || !self.seen {
+            store_diffs(&mut self.diffs, values, actual, avail);
+        } else {
+            let mask = match_and_store(&mut self.diffs, values, actual, avail);
+            if mask != 0 {
+                self.distance = Some(mask.trailing_zeros() as u16 + 1);
+            }
+        }
+        self.order = order as u16;
+        self.seen = true;
+    }
+
     /// The selected distance, if one has been learned.
     pub fn distance(&self) -> Option<usize> {
         self.distance.map(usize::from)
@@ -162,7 +195,9 @@ impl GDiffEntry {
 /// distance `k`, through a closure
 /// ([`predict_with_tap`](Self::predict_with_tap)). A completion trains
 /// against all `n` slots at once, read by the caller as a queue window
-/// ([`update_from_window`](Self::update_from_window)). This is what lets the
+/// ([`update_from_window`](Self::update_from_window)). The profile loop
+/// does both at once, from one window and with one table probe
+/// ([`step_from_window`](Self::step_from_window)). This is what lets the
 /// same mechanism drive all three queue disciplines: the profile-mode
 /// [`GDiffPredictor`](crate::GDiffPredictor) reads relative to the queue
 /// head, while the [`HgvqPredictor`](crate::HgvqPredictor) reads relative
@@ -223,30 +258,23 @@ impl GDiffCore {
         pc: u64,
         value_at: impl Fn(usize) -> Option<u64>,
     ) -> (Option<u64>, Option<(u16, i64)>) {
-        let e = self.table.entry_shared(pc);
-        let Some(k) = e.distance else {
-            return (None, None);
-        };
-        let Some(&diff) = e.diffs.get(usize::from(k) - 1) else {
-            return (None, None);
-        };
-        let value = value_at(usize::from(k)).map(|base| base.wrapping_add(diff as u64));
-        (value, Some((k, diff)))
+        self.table.entry_shared(pc).predict(value_at)
     }
 
     /// The per-completion hot path: trains the table with `pc`'s actual
     /// result from a queue window read in one pass (`values[k - 1]` = value
     /// at distance `k`, `avail` bit `k - 1` = that lane is resolved), as
     /// [`GlobalValueQueue::window`](crate::GlobalValueQueue::window) /
-    /// [`window_from`](crate::GlobalValueQueue::window_from) produce it,
+    /// [`window_from`](crate::GlobalValueQueue::window_from) lend it,
     /// anchored the same way predictions for this instruction are anchored.
     ///
     /// Lanes without their `avail` bit may carry any value — they are
     /// masked out of both the match and the store (an unavailable slot
     /// keeps its previous difference, so a transiently empty HGVQ slot does
-    /// not erase learned state). Availability bits at or beyond the core's
-    /// order are ignored, which is what lets a wider queue share one
-    /// `MAX_ORDER` window buffer. No heap allocation ever happens here.
+    /// not erase learned state). Distances past the end of `values` are
+    /// unavailable, and availability bits at or beyond the core's order (or
+    /// the slice's length) are ignored. No heap allocation ever happens
+    /// here.
     ///
     /// Hysteresis runs first: while the selected distance keeps matching,
     /// no other lane's match can change the selection, so the whole
@@ -256,33 +284,44 @@ impl GDiffCore {
     /// smallest-match selection; when nothing matches there either, the
     /// selection is left unchanged, per the paper.
     #[inline]
-    pub fn update_from_window(
+    pub fn update_from_window(&mut self, pc: u64, actual: u64, values: &[u64], avail: u64) {
+        let (values, avail) = self.clamp(values, avail);
+        self.table
+            .entry_shared(pc)
+            .train(self.order, actual, values, avail);
+    }
+
+    /// The profile loop's fused producer: predicts `pc` from the window,
+    /// then trains on `actual` against the same window, with one table
+    /// probe. Returns the prediction made before training.
+    ///
+    /// It is [`predict_with_tap`](Self::predict_with_tap) reading the
+    /// window's lanes followed by
+    /// [`update_from_window`](Self::update_from_window), for a caller whose
+    /// queue does not move in between: same prediction, same trained
+    /// entry, and the same two table accesses counted
+    /// ([`PcTable::entry_pair`](predictors::PcTable::entry_pair)).
+    #[inline]
+    pub fn step_from_window(
         &mut self,
         pc: u64,
         actual: u64,
-        values: &[u64; MAX_ORDER],
+        values: &[u64],
         avail: u64,
-    ) {
-        let order = self.order;
-        let e = self.table.entry_shared(pc);
-        let avail = avail & lane_mask(order);
-        let keep = match e.distance {
-            Some(k) if e.seen => {
-                let i = usize::from(k) - 1;
-                (avail >> i) & 1 != 0 && actual.wrapping_sub(values[i]) as i64 == e.diffs[i]
-            }
-            _ => false,
-        };
-        if keep || !e.seen {
-            store_diffs(&mut e.diffs, values, actual, avail, order);
-        } else {
-            let mask = match_and_store(&mut e.diffs, values, actual, avail, order);
-            if mask != 0 {
-                e.distance = Some(mask.trailing_zeros() as u16 + 1);
-            }
-        }
-        e.order = order as u16;
-        e.seen = true;
+    ) -> Option<u64> {
+        let (values, avail) = self.clamp(values, avail);
+        let e = self.table.entry_pair(pc);
+        let (predicted, _) = e.predict(|k| ((avail >> (k - 1)) & 1 != 0).then(|| values[k - 1]));
+        e.train(self.order, actual, values, avail);
+        predicted
+    }
+
+    /// A window cut to the core's order, with no availability bit at or
+    /// past the end of the cut.
+    #[inline]
+    fn clamp<'a>(&self, values: &'a [u64], avail: u64) -> (&'a [u64], u64) {
+        let values = &values[..values.len().min(self.order)];
+        (values, avail & lane_mask(values.len()))
     }
 
     /// The table entry for `pc`, if one exists (read-only; for tests,
@@ -329,9 +368,7 @@ mod tests {
     /// Packs a slice into the window form (`values[0]` is distance 1, every
     /// listed slot available) and trains pc 0 with `actual` against it.
     fn update(c: &mut GDiffCore, actual: u64, values: &[u64]) {
-        let mut w = [0u64; MAX_ORDER];
-        w[..values.len()].copy_from_slice(values);
-        c.update_from_window(0, actual, &w, lane_mask(values.len()));
+        c.update_from_window(0, actual, values, lane_mask(values.len()));
     }
 
     #[test]
@@ -468,9 +505,7 @@ mod tests {
     #[test]
     fn avail_bits_beyond_order_are_ignored() {
         let mut c = GDiffCore::new(Capacity::Unbounded, 2);
-        let mut w = [0u64; MAX_ORDER];
-        (w[0], w[1], w[2]) = (4, 6, 99);
-        c.update_from_window(0, 10, &w, u64::MAX); // bits ≥ 2 must not count
+        c.update_from_window(0, 10, &[4, 6, 99], u64::MAX); // bits ≥ 2 must not count
         let e = c.entry(0).unwrap();
         assert_eq!(e.diff(1), Some(6));
         assert_eq!(e.diff(2), Some(4));
@@ -483,13 +518,53 @@ mod tests {
         update(&mut c, 10, &[4, 6, 2, 9]);
         // Lane 0 (distance 1) is unavailable but carries a value that
         // *would* match its stored diff of 6; only lanes 1 and 3 are live.
-        let mut w = [0u64; MAX_ORDER];
-        (w[0], w[1], w[2], w[3]) = (10, 12, 8, 98);
-        c.update_from_window(0, 16, &w, 0b1010);
+        c.update_from_window(0, 16, &[10, 12, 8, 98], 0b1010);
         let e = c.entry(0).unwrap();
         assert_eq!(e.distance(), Some(2), "only available lanes may match");
         assert_eq!(e.diff(1), Some(6), "masked store keeps the old diff");
         assert_eq!(e.diff(2), Some(4));
         assert_eq!(e.diff(4), Some(-82), "wrapping diff stored on live lane");
+    }
+
+    #[test]
+    fn lanes_past_the_window_are_unavailable() {
+        let mut c = GDiffCore::new(Capacity::Unbounded, 4);
+        update(&mut c, 10, &[4, 6, 2, 9]);
+        // A two-lane window whose mask claims all four: distances 3 and 4
+        // have no lane, so they keep their stored differences.
+        c.update_from_window(0, 20, &[14, 16], 0b1111);
+        let e = c.entry(0).unwrap();
+        assert_eq!(e.distance(), Some(1));
+        assert_eq!((e.diff(1), e.diff(2)), (Some(6), Some(4)));
+        assert_eq!((e.diff(3), e.diff(4)), (Some(8), Some(1)));
+    }
+
+    #[test]
+    fn step_from_window_predicts_then_trains_in_one_probe() {
+        let mut fused = GDiffCore::new(Capacity::Entries(4), 4);
+        let mut split = GDiffCore::new(Capacity::Entries(4), 4);
+        // pc 0 learns distance 2 (diff 4); pc 0x10 aliases its slot.
+        let steps: [(u64, u64, &[u64]); 5] = [
+            (0, 5, &[9, 1, 7]),
+            (0, 12, &[3, 8, 2]),
+            (0, 7, &[6, 3, 1]),
+            (0x10, 7, &[6, 3]),
+            (0, 9, &[1, 5, 0, 0]),
+        ];
+        for (pc, actual, values) in steps {
+            let avail = lane_mask(values.len());
+            let read = |k: usize| values.get(k - 1).copied();
+            let expected = split.predict_with_tap(pc, read).0;
+            split.update_from_window(pc, actual, values, avail);
+            let got = fused.step_from_window(pc, actual, values, avail);
+            assert_eq!(got, expected, "pc {pc:#x} actual {actual}");
+            let (a, b) = (fused.entry(pc).unwrap(), split.entry(pc).unwrap());
+            assert_eq!(a.distance(), b.distance());
+            assert!((1..=4).all(|k| a.diff(k) == b.diff(k)));
+        }
+        assert_eq!(fused.table_accesses(), 10);
+        assert_eq!(fused.table_accesses(), split.table_accesses());
+        assert_eq!(fused.table_conflicts(), 2);
+        assert_eq!(fused.table_conflicts(), split.table_conflicts());
     }
 }

@@ -3,10 +3,11 @@
 //! Each predictor the profile studies compare — gDiff at order 8 and 32,
 //! local stride and DFCM — is warmed up on a fixed producer stream (every
 //! PC claims its table entry, every scratch buffer reaches its size), then
-//! driven through 10 000 further predict/update steps with the heap
-//! watched. Any allocation on that path is a per-producer cost the
-//! inline-array designs (`MAX_ORDER` differences, `MAX_CONTEXT` contexts,
-//! the mirrored queue window) exist to avoid.
+//! driven through 10 000 further `step`s — the profile loop's one
+//! predictor call per producer — with the heap watched. Any allocation on
+//! that path is a per-producer cost the inline-array designs (`MAX_ORDER`
+//! differences, `MAX_CONTEXT` contexts, the mirrored queue window) exist
+//! to avoid.
 //!
 //! The gDiff q8 loop is also checked with every live telemetry tap armed
 //! (the `--timeline --live-metrics` configuration): the taps sit at cell
@@ -75,20 +76,18 @@ fn stream(len: usize) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Warms `p` up on `WARMUP` predict/update steps, then returns the
-/// allocations made by `MEASURED` further steps.
+/// Warms `p` up on `WARMUP` steps, then returns the allocations made by
+/// `MEASURED` further steps.
 fn measured_allocations(p: &mut dyn ValuePredictor) -> u64 {
     let insts = stream(WARMUP + MEASURED);
     let (warm, measured) = insts.split_at(WARMUP);
     for &(pc, value) in warm {
-        let _ = p.predict(pc);
-        p.update(pc, value);
+        let _ = p.step(pc, value);
     }
     let before = ALLOCATIONS.with(Cell::get);
     let mut hits = 0u64;
     for &(pc, value) in measured {
-        hits += u64::from(p.predict(pc) == Some(value));
-        p.update(pc, value);
+        hits += u64::from(p.step(pc, value) == Some(value));
     }
     let allocs = ALLOCATIONS.with(Cell::get) - before;
     assert!(

@@ -6,7 +6,7 @@
 //!   scalar scan, under random update/predict interleavings including
 //!   partial availability masks, wrapping diffs, and bounded-table aliasing;
 //! * [`GlobalValueQueue::window`] / `window_from` against the per-distance
-//!   `back` / `back_from` reads they batch.
+//!   `back` / `back_from` reads they batch, in place.
 
 use gdiff::reference::ReferenceCore;
 use gdiff::{GDiffCore, GlobalValueQueue, MAX_ORDER};
@@ -150,15 +150,15 @@ proptest! {
         for &v in &values {
             q.push(v);
         }
-        let mut window = [0u64; MAX_ORDER];
-        let avail = q.window(&mut window);
+        let (window, avail) = q.window();
         for k in 1..=order {
-            let lane = ((avail >> (k - 1)) & 1 != 0).then_some(window[k - 1]);
+            let lane = ((avail >> (k - 1)) & 1 != 0).then(|| window[k - 1]);
             prop_assert_eq!(lane, q.back(k), "k={}", k);
         }
         if order < 64 {
             prop_assert_eq!(avail >> order, 0, "no bits beyond the order");
         }
+        prop_assert!(window.len() >= 64 || avail >> window.len() == 0, "no bits past the lanes");
     }
 
     /// `window_from` is the batched form of `back_from` for any anchor
@@ -175,14 +175,14 @@ proptest! {
             slots.push(q.push(v));
         }
         let anchor = slots[slots.len() - 1 - anchor_back.min(slots.len() - 1)];
-        let mut window = [0u64; MAX_ORDER];
-        let avail = q.window_from(anchor, &mut window);
+        let (window, avail) = q.window_from(anchor);
         for k in 1..=order {
-            let lane = ((avail >> (k - 1)) & 1 != 0).then_some(window[k - 1]);
+            let lane = ((avail >> (k - 1)) & 1 != 0).then(|| window[k - 1]);
             prop_assert_eq!(lane, q.back_from(anchor, k), "k={}", k);
         }
         if order < 64 {
             prop_assert_eq!(avail >> order, 0, "no bits beyond the order");
         }
+        prop_assert!(window.len() >= 64 || avail >> window.len() == 0, "no bits past the lanes");
     }
 }

@@ -24,8 +24,7 @@ fn check_queue_reads(q: &GlobalValueQueue, model: &VecDeque<Option<u64>>, anchor
     for k in 0..=order + 2 {
         prop_assert_eq!(q.back(k), at(k as u64), "back({})", k);
     }
-    let mut w = [0u64; MAX_ORDER];
-    let avail = q.window(&mut w);
+    let (w, avail) = q.window();
     for k in 1..=MAX_ORDER {
         let expect = at(k as u64);
         prop_assert_eq!(
@@ -53,7 +52,7 @@ fn check_queue_reads(q: &GlobalValueQueue, model: &VecDeque<Option<u64>>, anchor
                 k
             );
         }
-        let avail = q.window_from(slot, &mut w);
+        let (w, avail) = q.window_from(slot);
         for k in 1..=MAX_ORDER {
             let expect = from(k as u64);
             prop_assert_eq!(
@@ -198,7 +197,6 @@ proptest! {
     fn core_is_total(updates in prop::collection::vec((0u64..64, any::<u64>()), 0..300)) {
         let mut core = GDiffCore::new(Capacity::Entries(64), 8);
         let mut queue = GlobalValueQueue::new(8);
-        let mut window = [0u64; MAX_ORDER];
         for (pc, v) in updates {
             let pc = pc * 4;
             let read = |k: usize| queue.back(k);
@@ -211,8 +209,8 @@ proptest! {
                     read(k).unwrap().wrapping_add(e.diff(k).unwrap() as u64)
                 );
             }
-            let avail = queue.window(&mut window);
-            core.update_from_window(pc, v, &window, avail);
+            let (window, avail) = queue.window();
+            core.update_from_window(pc, v, window, avail);
             queue.push(v);
         }
     }

@@ -33,6 +33,8 @@
 //! segments carry that hash, which is what makes "resume this sweep"
 //! well-defined: same hash ⇒ same cell-id meaning, bit for bit.
 
+use gdiff::GDiffEntry;
+use predictors::PcTable;
 use workloads::Benchmark;
 
 use crate::RunParams;
@@ -242,49 +244,22 @@ impl GridSpec {
         tracefile::crc32::crc32(self.canonical().as_bytes())
     }
 
-    /// Re-parses a canonical form written by [`GridSpec::canonical`].
-    pub fn from_canonical(text: &str) -> Result<GridSpec, String> {
-        let mut lines = text.lines();
-        let schema = lines.next().unwrap_or_default();
-        if schema != "gdiff-sweep-grid/v1" {
-            return Err(format!("unknown grid schema '{schema}'"));
-        }
-        let rest: Vec<&str> = lines.collect();
-        let mut seed = None;
-        let mut body = Vec::new();
-        for line in rest {
-            match line.split_once('=') {
-                Some(("seed", v)) => {
-                    seed = Some(
-                        v.parse::<u64>()
-                            .map_err(|_| format!("bad grid seed '{v}'"))?,
-                    )
-                }
-                _ => body.push(line),
-            }
-        }
-        let seed = seed.ok_or("grid.spec is missing its seed")?;
-        let base = RunParams {
-            seed,
-            ..RunParams::profile_default()
-        };
-        GridSpec::parse(&body.join("\n"), base)
-    }
-
     /// Rough per-sweep cost facts for `--dry-run`: producers simulated
     /// per cell, and the byte footprint of the largest table swept.
+    ///
+    /// The footprint is the deepest table's real storage, priced without
+    /// building it: every slot holds a tag and a full inline
+    /// [`GDiffEntry`], whatever the order, so the order does not enter. An
+    /// unbounded depth is estimated at 64K entries.
     pub fn footprint(&self) -> (u64, u64) {
         let per_cell = self.params.warmup + self.params.measure;
-        // SoA PC table: ~8 B tag + order × 8 B diffs + bookkeeping ≈
-        // (order + 2) × 8 B per entry; unbounded depth estimated at 64K.
-        let max_order = self.orders.iter().copied().max().unwrap_or(8) as u64;
         let max_depth = self
             .depths
             .iter()
-            .map(|&d| if d == 0 { 64 * 1024 } else { d as u64 })
+            .map(|&d| if d == 0 { 64 * 1024 } else { d })
             .max()
             .unwrap_or(8 * 1024);
-        (per_cell, max_depth * (max_order + 2) * 8)
+        (per_cell, PcTable::<GDiffEntry>::bounded_bytes(max_depth))
     }
 }
 
@@ -376,13 +351,28 @@ mod tests {
     }
 
     #[test]
-    fn canonical_round_trips_and_hash_pins_identity() {
+    fn canonical_form_and_hash_pin_identity() {
         let g = GridSpec::parse("order=2,4;threshold=0,4;delay=1;bench=mcf", base()).unwrap();
-        let back = GridSpec::from_canonical(&g.canonical()).unwrap();
-        assert_eq!(g, back);
-        assert_eq!(g.hash(), back.hash());
+        assert_eq!(
+            g.canonical(),
+            "gdiff-sweep-grid/v1\nseed=42\nwarmup=5000\nmeasure=40000\n\
+             order=2,4\ndepth=8192\nthreshold=0,4\ndelay=1\nbench=mcf\n"
+        );
+        assert_eq!(g.hash(), 0xD438_8349, "CRC32 of the canonical form");
+        // The same grid spelled differently is the same identity.
+        let same = GridSpec::parse("bench=mcf\ndelay=1,1;threshold=0,4;order=2,4", base()).unwrap();
+        assert_eq!(same.canonical(), g.canonical());
         let other = GridSpec::parse("order=2,4;threshold=0,4;delay=2;bench=mcf", base()).unwrap();
         assert_ne!(g.hash(), other.hash());
+    }
+
+    #[test]
+    fn footprint_is_the_built_tables_storage() {
+        let g = GridSpec::parse("order=2,8;depth=1024,8192", base()).unwrap();
+        let built = gdiff::GDiffCore::new(predictors::Capacity::Entries(8192), 8);
+        assert_eq!(g.footprint().1, built.geometry().bytes);
+        let kib = format!("largest table: ~{} KiB", built.geometry().bytes / 1024);
+        assert!(crate::render_dry_run(&g).contains(&kib), "{kib}");
     }
 
     #[test]

@@ -36,11 +36,10 @@ pub fn run_profile_on<P: ValuePredictor>(
     let _span = obs::span::span("profile.run");
     let mut stats = PredictorStats::new();
     for (n, inst) in value_stream_on(source, bench, params).enumerate() {
-        let predicted = predictor.predict(inst.pc);
+        let predicted = predictor.step(inst.pc, inst.value);
         if (n as u64) >= params.warmup {
             stats.record(predicted, false, inst.value);
         }
-        predictor.update(inst.pc, inst.value);
     }
     stats
 }
@@ -62,7 +61,9 @@ pub fn run_profile_gated(
     let _span = obs::span::span("profile.run");
     let mut stats = PredictorStats::new();
     for (n, inst) in value_stream_on(source, bench, params).enumerate() {
-        let predicted = predictor.predict(inst.pc);
+        // The confidence table is not the predictor's, so training the
+        // predictor before the gate is read changes nothing.
+        let predicted = predictor.step(inst.pc, inst.value);
         let confident = match (&predicted, conf.as_deref_mut()) {
             (Some(_), Some(c)) => c.is_confident(inst.pc),
             (Some(_), None) => true,
@@ -74,7 +75,6 @@ pub fn run_profile_gated(
         if let (Some(p), Some(c)) = (predicted, conf.as_deref_mut()) {
             c.train(inst.pc, p == inst.value);
         }
-        predictor.update(inst.pc, inst.value);
     }
     stats
 }

@@ -102,9 +102,10 @@ pub struct TokenProvenance {
 /// instruction in dispatch order; [`writeback`](Self::writeback) is called
 /// exactly once per such instruction, in completion order. Write-back is
 /// the simulator's hot path: the gDiff engines train through the batched
-/// queue-window kernel (`GlobalValueQueue::window` feeding
-/// `GDiffCore::update_from_window`) inside `complete`/`writeback`, so one
-/// pipeline step costs one queue pass rather than `order` slot reads.
+/// queue-window kernel (`GlobalValueQueue::window` lending its lanes in
+/// place to `GDiffCore::update_from_window`) inside `complete`/`writeback`,
+/// so one pipeline step costs one queue pass rather than `order` slot
+/// reads.
 ///
 /// `dispatch` receives the whole [`DynInst`]; real engines must only use
 /// its `pc` — the full record exists so the [`OracleEngine`] limit study

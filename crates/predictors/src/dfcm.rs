@@ -11,6 +11,28 @@ struct DfcmEntry {
     strides: ContextWindow,
 }
 
+impl DfcmEntry {
+    /// `last` plus the stride that followed this stride context last time.
+    fn predict(&self, l2: &[Option<i64>], order: usize) -> Option<u64> {
+        let last = self.last?;
+        let idx = self.strides.index(order)?;
+        l2[idx].map(|stride| last.wrapping_add(stride as u64))
+    }
+
+    /// Records `actual`'s stride as the successor of the current context,
+    /// then slides the context over it.
+    fn train(&mut self, l2: &mut [Option<i64>], order: usize, l2_bits: u32, actual: u64) {
+        if let Some(last) = self.last {
+            let stride = actual.wrapping_sub(last);
+            if let Some(idx) = self.strides.index(order) {
+                l2[idx] = Some(stride as i64);
+            }
+            self.strides.push(stride, order, l2_bits);
+        }
+        self.last = Some(actual);
+    }
+}
+
 /// The differential FCM predictor of Goeman, Vandierendonck and De Bosschere
 /// (HPCA'01) — the local *context* baseline the paper compares against.
 ///
@@ -84,22 +106,19 @@ impl DfcmPredictor {
 
 impl ValuePredictor for DfcmPredictor {
     fn predict(&mut self, pc: u64) -> Option<u64> {
-        let e = self.l1.entry_shared(pc);
-        let last = e.last?;
-        let idx = e.strides.index(self.order)?;
-        self.l2[idx].map(|stride| last.wrapping_add(stride as u64))
+        self.l1.entry_shared(pc).predict(&self.l2, self.order)
     }
 
     fn update(&mut self, pc: u64, actual: u64) {
         let e = self.l1.entry_shared(pc);
-        if let Some(last) = e.last {
-            let stride = actual.wrapping_sub(last);
-            if let Some(idx) = e.strides.index(self.order) {
-                self.l2[idx] = Some(stride as i64);
-            }
-            e.strides.push(stride, self.order, self.l2_bits);
-        }
-        e.last = Some(actual);
+        e.train(&mut self.l2, self.order, self.l2_bits, actual);
+    }
+
+    fn step(&mut self, pc: u64, actual: u64) -> Option<u64> {
+        let e = self.l1.entry_pair(pc);
+        let predicted = e.predict(&self.l2, self.order);
+        e.train(&mut self.l2, self.order, self.l2_bits, actual);
+        predicted
     }
 
     fn name(&self) -> &'static str {
@@ -116,7 +135,7 @@ mod tests {
         let mut total = 0;
         for v in seq {
             total += 1;
-            if p.step(0, v) == Some(true) {
+            if p.step(0, v) == Some(v) {
                 correct += 1;
             }
         }

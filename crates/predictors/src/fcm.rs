@@ -176,7 +176,7 @@ mod tests {
         for i in 0..400 {
             let v = period[i % 4];
             total += 1;
-            if p.step(0, v) == Some(true) {
+            if p.step(0, v) == Some(v) {
                 correct += 1;
             }
         }
@@ -189,7 +189,7 @@ mod tests {
         let mut p = FcmPredictor::new(Capacity::Unbounded, 2, 16);
         let mut correct = 0;
         for i in 0..200u64 {
-            if p.step(0, i * 8) == Some(true) {
+            if p.step(0, i * 8) == Some(i * 8) {
                 correct += 1;
             }
         }

@@ -123,7 +123,7 @@ mod tests {
         let mut p = hybrid();
         let mut correct = 0;
         for i in 0..100u64 {
-            if p.step(0, i * 4) == Some(true) {
+            if p.step(0, i * 4) == Some(i * 4) {
                 correct += 1;
             }
         }
@@ -137,7 +137,7 @@ mod tests {
         let period = [9u64, 2, 7, 2];
         let mut correct = 0;
         for i in 0..400 {
-            if p.step(0, period[i % 4]) == Some(true) {
+            if p.step(0, period[i % 4]) == Some(period[i % 4]) {
                 correct += 1;
             }
         }
@@ -163,13 +163,13 @@ mod tests {
         for i in 0..500u64 {
             // pc 0: stride stream; pc 4: periodic stream.
             for (pc, v) in [(0u64, i * 8), (4u64, period[(i % 4) as usize])] {
-                if p.step(pc, v) == Some(true) {
+                if p.step(pc, v) == Some(v) {
                     hp += 1;
                 }
-                if s.step(pc, v) == Some(true) {
+                if s.step(pc, v) == Some(v) {
                     sp += 1;
                 }
-                if d.step(pc, v) == Some(true) {
+                if d.step(pc, v) == Some(v) {
                     dp += 1;
                 }
             }

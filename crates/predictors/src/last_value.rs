@@ -150,7 +150,7 @@ mod tests {
         let mut p = LastValuePredictor::new(Capacity::Unbounded);
         let mut correct = 0;
         for _ in 0..100 {
-            if p.step(0, 42) == Some(true) {
+            if p.step(0, 42) == Some(42) {
                 correct += 1;
             }
         }
@@ -163,7 +163,7 @@ mod tests {
         let seq = [5u64, 8, 5, 8, 5, 8, 5, 8];
         let mut correct = 0;
         for &v in &seq {
-            if p.step(0, v) == Some(true) {
+            if p.step(0, v) == Some(v) {
                 correct += 1;
             }
         }

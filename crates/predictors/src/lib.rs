@@ -102,15 +102,21 @@ pub trait ValuePredictor {
     /// A short, stable, human-readable name used in experiment reports.
     fn name(&self) -> &'static str;
 
-    /// Runs one synchronous predict→update step and reports whether the
-    /// prediction existed and was correct.
+    /// Predicts `pc`, then trains on `actual`, and returns the prediction
+    /// made before training.
     ///
-    /// This is a convenience for profile-style (in-order, zero-delay)
-    /// experiments; pipelined callers drive the two phases separately.
-    fn step(&mut self, pc: u64, actual: u64) -> Option<bool> {
+    /// This is the §3 profile loop's only predictor call: every producer is
+    /// predicted and trained at once, in program order (`run_profile_on`
+    /// and every served session drive it). It must behave exactly like
+    /// [`predict`](Self::predict) followed by [`update`](Self::update),
+    /// which is the default. Table-backed predictors override it to probe
+    /// their table once per producer; the probe still counts as the two
+    /// accesses it stands for ([`PcTable::entry_pair`]). Pipelined callers
+    /// drive the two phases separately.
+    fn step(&mut self, pc: u64, actual: u64) -> Option<u64> {
         let predicted = self.predict(pc);
         self.update(pc, actual);
-        predicted.map(|p| p == actual)
+        predicted
     }
 
     /// Provenance tap: the delta this predictor would add to its base
@@ -138,6 +144,10 @@ impl<P: ValuePredictor + ?Sized> ValuePredictor for Box<P> {
         (**self).name()
     }
 
+    fn step(&mut self, pc: u64, actual: u64) -> Option<u64> {
+        (**self).step(pc, actual)
+    }
+
     fn learned_diff(&self, pc: u64) -> Option<i64> {
         (**self).learned_diff(pc)
     }
@@ -157,10 +167,11 @@ mod tests {
     }
 
     #[test]
-    fn step_reports_correctness() {
+    fn step_returns_the_prediction_made_before_training() {
         let mut p = LastValuePredictor::new(Capacity::Unbounded);
         assert_eq!(p.step(8, 1), None); // cold: no prediction
-        assert_eq!(p.step(8, 1), Some(true)); // last value repeats
-        assert_eq!(p.step(8, 2), Some(false)); // changed
+        assert_eq!(p.step(8, 1), Some(1)); // last value repeats
+        assert_eq!(p.step(8, 2), Some(1)); // changed: the old value
+        assert_eq!(p.predict(8), Some(2), "trained on the last step");
     }
 }

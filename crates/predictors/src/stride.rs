@@ -14,6 +14,38 @@ struct StrideEntry {
     valid: bool,
 }
 
+impl StrideEntry {
+    /// `last` plus the confirmed stride, or `last` before one is confirmed.
+    fn predict(&self) -> Option<u64> {
+        let last = self.last?;
+        if self.valid {
+            Some(last.wrapping_add(self.stride as u64))
+        } else {
+            // Before any stride is confirmed, fall back to last-value
+            // behaviour (stride 0), as real stride predictors do.
+            Some(last)
+        }
+    }
+
+    /// Adopts a stride seen twice in a row, then records `actual` as `last`.
+    fn train(&mut self, actual: u64) {
+        if let Some(last) = self.last {
+            let observed = actual.wrapping_sub(last) as i64;
+            if self.valid && observed == self.stride {
+                // Steady state; nothing to change.
+                self.candidate = observed;
+            } else if observed == self.candidate {
+                // Same new stride twice in a row: adopt it.
+                self.stride = observed;
+                self.valid = true;
+            } else {
+                self.candidate = observed;
+            }
+        }
+        self.last = Some(actual);
+    }
+}
+
 /// The paper's "local stride" predictor.
 ///
 /// This is the 2-delta stride predictor used throughout the value-prediction
@@ -63,33 +95,18 @@ impl StridePredictor {
 
 impl ValuePredictor for StridePredictor {
     fn predict(&mut self, pc: u64) -> Option<u64> {
-        let e = self.table.entry_shared(pc);
-        let last = e.last?;
-        if e.valid {
-            Some(last.wrapping_add(e.stride as u64))
-        } else {
-            // Before any stride is confirmed, fall back to last-value
-            // behaviour (stride 0), as real stride predictors do.
-            Some(last)
-        }
+        self.table.entry_shared(pc).predict()
     }
 
     fn update(&mut self, pc: u64, actual: u64) {
-        let e = self.table.entry_shared(pc);
-        if let Some(last) = e.last {
-            let observed = actual.wrapping_sub(last) as i64;
-            if e.valid && observed == e.stride {
-                // Steady state; nothing to change.
-                e.candidate = observed;
-            } else if observed == e.candidate {
-                // Same new stride twice in a row: adopt it.
-                e.stride = observed;
-                e.valid = true;
-            } else {
-                e.candidate = observed;
-            }
-        }
-        e.last = Some(actual);
+        self.table.entry_shared(pc).train(actual);
+    }
+
+    fn step(&mut self, pc: u64, actual: u64) -> Option<u64> {
+        let e = self.table.entry_pair(pc);
+        let predicted = e.predict();
+        e.train(actual);
+        predicted
     }
 
     fn name(&self) -> &'static str {
@@ -106,7 +123,7 @@ mod tests {
     use super::*;
 
     fn run(p: &mut StridePredictor, pc: u64, seq: &[u64]) -> u64 {
-        seq.iter().filter(|&&v| p.step(pc, v) == Some(true)).count() as u64
+        seq.iter().filter(|&&v| p.step(pc, v) == Some(v)).count() as u64
     }
 
     #[test]

@@ -33,7 +33,9 @@
 //! those PCs, so its hash must not be predictable from outside: a client
 //! that could steer many PCs into one bucket would turn every probe into a
 //! long scan (HashDoS). Std's SipHash-1-3 is safe but slow for a lookup
-//! made twice per producer (predict, then update).
+//! made on every producer: once per producer on the profile path
+//! ([`PcTable::entry_pair`]), twice when a pipeline predicts at dispatch
+//! and updates at write-back.
 //!
 //! The table hashes with a keyed folded multiply instead: the 128-bit
 //! product `(pc ^ k0) * k1` is folded to 64 bits as `lo ^ hi`, and the
@@ -257,6 +259,19 @@ impl<E: Default> PcTable<E> {
         self.access(pc, false)
     }
 
+    /// One probe that stands for a predict access and the update access
+    /// that follows it on the same `pc` — the profile loop's
+    /// [`ValuePredictor::step`](crate::ValuePredictor::step).
+    ///
+    /// Counts exactly what two [`entry_shared`](Self::entry_shared) calls
+    /// would: two accesses, and at most one conflict, because the first
+    /// access leaves `pc` owning the slot. Figure 9's conflict rate is
+    /// therefore the same whichever way a predictor is driven.
+    pub fn entry_pair(&mut self, pc: u64) -> &mut E {
+        self.accesses += 1;
+        self.access(pc, false)
+    }
+
     fn access(&mut self, pc: u64, reset_on_conflict: bool) -> &mut E {
         self.accesses += 1;
         match &mut self.storage {
@@ -293,7 +308,8 @@ impl<E: Default> PcTable<E> {
     }
 
     /// Total number of accesses made through [`entry`](Self::entry) /
-    /// [`entry_shared`](Self::entry_shared).
+    /// [`entry_shared`](Self::entry_shared) (one each) and
+    /// [`entry_pair`](Self::entry_pair) (two).
     pub fn accesses(&self) -> u64 {
         self.accesses
     }
@@ -339,11 +355,18 @@ impl<E: Default> PcTable<E> {
             Storage::Direct(t) => TableGeometry {
                 probe_len: t.tags.len(),
                 occupied: self.len(),
-                bytes: (t.tags.len() * size_of::<u64>()
-                    + t.live.len() * size_of::<u64>()
-                    + t.data.len() * size_of::<E>()) as u64,
+                bytes: Self::bounded_bytes(t.tags.len()),
             },
         }
+    }
+
+    /// Bytes the storage arrays of a bounded table of `entries` slots hold
+    /// (tags + occupancy bitmap + payloads): its
+    /// [`geometry`](Self::geometry)`.bytes`, priced without building it.
+    pub fn bounded_bytes(entries: usize) -> u64 {
+        (entries * size_of::<u64>()
+            + entries.div_ceil(64) * size_of::<u64>()
+            + entries * size_of::<E>()) as u64
     }
 }
 
@@ -517,6 +540,41 @@ mod tests {
         }
         assert_eq!(m.len(), 100);
         assert!((0..100).all(|i| m.get(&format!("key-{i}")) == Some(&i)));
+    }
+
+    #[test]
+    fn entry_pair_counts_like_two_shared_accesses() {
+        // Same pcs through both accessors: first claims, repeats, aliases
+        // that steal a slot back and forth, on a bounded and an unbounded
+        // table.
+        let pcs = [0x0, 0x0, 0x8, 0x4, 0x8, 0x0, 0x10, 0x4, 0x4];
+        for cap in [Capacity::Entries(2), Capacity::Unbounded] {
+            let mut pair: PcTable<u64> = PcTable::new(cap);
+            let mut shared: PcTable<u64> = PcTable::new(cap);
+            for (i, &pc) in pcs.iter().enumerate() {
+                let before = *shared.entry_shared(pc);
+                *shared.entry_shared(pc) = i as u64;
+                let got = pair.entry_pair(pc);
+                assert_eq!(*got, before, "{cap:?} pc {pc:#x}: same state found");
+                *got = i as u64;
+                assert_eq!(pair.accesses(), shared.accesses(), "{cap:?} step {i}");
+                assert_eq!(pair.conflicts(), shared.conflicts(), "{cap:?} step {i}");
+                assert_eq!(pair.len(), shared.len(), "{cap:?} step {i}");
+            }
+        }
+        let mut t: PcTable<u64> = PcTable::new(Capacity::Entries(2));
+        t.entry_pair(0x0);
+        t.entry_pair(0x8); // steals slot 0: one conflict for both accesses
+        assert_eq!((t.accesses(), t.conflicts()), (4, 1));
+        assert_eq!(t.conflict_rate(), 0.25);
+    }
+
+    #[test]
+    fn bounded_bytes_prices_the_built_table() {
+        for n in [1usize, 2, 64, 128, 8192] {
+            let t: PcTable<[u64; 3]> = PcTable::new(Capacity::Entries(n));
+            assert_eq!(PcTable::<[u64; 3]>::bounded_bytes(n), t.geometry().bytes);
+        }
     }
 
     #[test]

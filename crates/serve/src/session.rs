@@ -247,8 +247,8 @@ impl SessionCore {
     ///
     /// Mirrors `run_profile_on` exactly: non-producers are skipped,
     /// producers past `warmup + measure` are ignored (the one-shot run's
-    /// `take`), each counted producer is predicted, recorded once past the
-    /// warmup, then used to update the predictor.
+    /// `take`), each counted producer is predicted and trained in one
+    /// [`step`](ValuePredictor::step), then recorded once past the warmup.
     pub fn feed_chunk(&mut self, insts: &[DynInst]) {
         let limit = self.params.warmup.saturating_add(self.params.measure);
         self.records += insts.len() as u64;
@@ -260,7 +260,7 @@ impl SessionCore {
             if self.producers >= limit {
                 continue;
             }
-            let predicted = self.predictor.predict(inst.pc);
+            let predicted = self.predictor.step(inst.pc, inst.value);
             let past_warmup = self.producers >= self.params.warmup;
             if past_warmup {
                 self.stats.record(predicted, false, inst.value);
@@ -275,7 +275,6 @@ impl SessionCore {
             ) {
                 self.pending_health.push(ev);
             }
-            self.predictor.update(inst.pc, inst.value);
             self.producers += 1;
         }
     }

@@ -286,10 +286,10 @@ mod tests {
         for i in trace.iter().filter(|i| i.pc == s.pc(1)) {
             let a = i.mem_addr.unwrap();
             total += 1;
-            if st.step(i.pc, a) == Some(true) {
+            if st.step(i.pc, a) == Some(a) {
                 st_ok += 1;
             }
-            if mk.step(i.pc, a) == Some(true) {
+            if mk.step(i.pc, a) == Some(a) {
                 mk_ok += 1;
             }
         }

@@ -115,7 +115,7 @@ pub(crate) mod test_util {
         let (mut correct, mut total) = (0u64, 0u64);
         for i in trace.iter().filter(|i| i.produces_value()) {
             total += 1;
-            if p.step(i.pc, i.value) == Some(true) {
+            if p.step(i.pc, i.value) == Some(i.value) {
                 correct += 1;
             }
         }

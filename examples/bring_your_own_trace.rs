@@ -46,10 +46,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut gd = GDiffPredictor::new(Capacity::Entries(8192), 8);
     let (mut s_ok, mut g_ok) = (0u64, 0u64);
     for i in trace.iter().filter(|i| i.produces_value()) {
-        if stride.step(i.pc, i.value) == Some(true) {
+        if stride.step(i.pc, i.value) == Some(i.value) {
             s_ok += 1;
         }
-        if gd.step(i.pc, i.value) == Some(true) {
+        if gd.step(i.pc, i.value) == Some(i.value) {
             g_ok += 1;
         }
     }
